@@ -62,35 +62,16 @@ SCHEMAS = {
         "plan_seconds": float,
         "naive_seconds": float,
     },
-    "plan_parallel_chase": {
-        "K": int,
-        "candidates": int,
-        "shards": int,
-        "workers": int,
-        "heaviest_bin_pairs": int,
-        "matches": int,
-        "matches_identical": int,
-        "parallel_chases": int,
-        "serial_seconds": float,
-        "parallel_seconds": float,
-        "wallclock_speedup": float,
-        "critical_path_speedup": float,
-    },
     "sn_index": {
         "K": int,
         "candidates": int,
         "blocks": int,
-        "shards": int,
-        "workers": int,
-        "heaviest_bin_pairs": int,
+        "components": int,
+        "largest_component_pairs": int,
         "matches": int,
         "matches_identical": int,
         "stream_candidates_identical": int,
-        "parallel_chases": int,
-        "serial_seconds": float,
-        "parallel_seconds": float,
-        "wallclock_speedup": float,
-        "critical_path_speedup": float,
+        "chase_seconds": float,
     },
     "plan_factorised": {
         "K": int,
@@ -228,63 +209,26 @@ def check_document(document: dict) -> list:
             problems.append(f"{name}: similarity cache never hit")
         if document["matches"] <= 0:
             problems.append(f"{name}: no matches decided")
-    elif name == "plan_parallel_chase":
-        if document["matches_identical"] != 1:
-            problems.append(
-                f"{name}: parallel and serial chases decided different "
-                "matches"
-            )
-        if document["parallel_chases"] < 1:
-            problems.append(f"{name}: the pool never ran (serial fallback)")
-        if document["shards"] <= document["workers"]:
-            problems.append(
-                f"{name}: only {document['shards']} shard(s) for "
-                f"{document['workers']} workers — partitioning regressed"
-            )
-        # The deterministic acceptance bound (wallclock_speedup is
-        # reported but never checked here: shared runners, 1-2 cores).
-        if document["critical_path_speedup"] < 1.5:
-            problems.append(
-                f"{name}: critical-path speedup "
-                f"{document['critical_path_speedup']:.2f} regressed below "
-                "the asserted 1.5x"
-            )
-        if document["matches"] <= 0:
-            problems.append(f"{name}: no matches decided")
     elif name == "sn_index":
         if document["matches_identical"] != 1:
             problems.append(
-                f"{name}: sharded and serial SN chases decided different "
-                "matches"
+                f"{name}: per-component and whole SN chases decided "
+                "different matches"
             )
         if document["stream_candidates_identical"] != 1:
             problems.append(
                 f"{name}: the streamed rank index diverged from the batch "
                 "candidate universe"
             )
-        if document["parallel_chases"] < 1:
+        if document["components"] <= 1:
             problems.append(
-                f"{name}: the pool never ran — the SN single-component "
-                "serial fallback is back"
-            )
-        if document["shards"] <= document["workers"]:
-            problems.append(
-                f"{name}: only {document['shards']} shard(s) for "
-                f"{document['workers']} workers — window runs no longer "
-                "split at block boundaries"
+                f"{name}: the candidates form one connected component — "
+                "window runs no longer split at block boundaries"
             )
         if document["blocks"] <= 1:
             problems.append(
                 f"{name}: the rank encoding collapsed to {document['blocks']} "
                 "block(s)"
-            )
-        # The deterministic acceptance bound (wallclock_speedup is
-        # reported but never checked here: shared runners, 1-2 cores).
-        if document["critical_path_speedup"] < 1.5:
-            problems.append(
-                f"{name}: critical-path speedup "
-                f"{document['critical_path_speedup']:.2f} regressed below "
-                "the asserted 1.5x"
             )
         if document["matches"] <= 0:
             problems.append(f"{name}: no matches decided")

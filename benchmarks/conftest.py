@@ -61,7 +61,7 @@ def kernel_size():
     return 2000 if FULL else 1000
 
 
-def parallel_size():
+def overhead_size():
     if TINY:
         return 300
     return 4000 if FULL else 1500

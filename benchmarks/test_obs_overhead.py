@@ -35,7 +35,7 @@ from repro.experiments.harness import resolution_spec_document, timed
 from repro.obs import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 
-from conftest import parallel_size
+from conftest import overhead_size
 
 #: Null-span microbenchmark iterations (enough to resolve sub-µs costs).
 NOOP_CALLS = 200_000
@@ -112,7 +112,7 @@ def run_overhead_point(size: int, seed: int = 3):
 def test_noop_tracing_overhead_under_two_percent(benchmark):
     """Tracing off records nothing and projects to < 2% of the run."""
     record = benchmark.pedantic(
-        run_overhead_point, args=(parallel_size(),),
+        run_overhead_point, args=(overhead_size(),),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     _emit(record)

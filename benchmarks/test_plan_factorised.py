@@ -1,13 +1,14 @@
-"""BENCH — the factorised chase vs the pairwise chase.
+"""BENCH — the factorised chase vs the pairwise reference chase.
 
 Acceptance benchmark for ``repro.plan.factorise``: on a high-duplication
 workload (few distinct card holders, many near-identical billing records
-— :func:`repro.datagen.high_duplication_dataset`), grouping candidate
-pairs by their distinct LHS value-pair signature and evaluating one rule
-verdict per group must charge **≥ 3× fewer** predicate evaluations than
-the pairwise kernel — measured by the plan's own counters — while
-deciding identical matches, which the run checks pair by pair before
-reporting anything.
+— :func:`repro.datagen.high_duplication_dataset`), the production kernel
+:func:`~repro.plan.executor.chase_factorised` — grouping candidate pairs
+by their distinct LHS value-pair signature and evaluating one rule
+verdict per group — must charge **≥ 3× fewer** predicate evaluations
+than the pairwise reference kernel :func:`~repro.plan.executor.chase` —
+measured by the plan's own counters — while deciding identical matches,
+which the run checks pair by pair before reporting anything.
 
 Cost accounting: the pairwise kernel's probe cost is the delta of
 ``metric_evaluations + cache_hits`` (every per-pair predicate probe,
@@ -32,6 +33,7 @@ from repro.core.semantics import InstancePair
 from repro.datagen import high_duplication_dataset
 from repro.datagen.schemas import extended_mds
 from repro.experiments.harness import resolution_spec_document, timed
+from repro.plan.executor import chase, chase_factorised
 
 from conftest import factorised_size
 
@@ -57,7 +59,7 @@ def run_factorised_point(size: int, seed: int = 3):
         execution={"mode": "enforce"},
     )
 
-    def chase(factorised):
+    def run(kernel):
         # A fresh workspace per run: the similarity memo and the
         # group-verdict cache must not leak between the two kernels.
         workspace = Workspace.from_dict(document)
@@ -66,12 +68,7 @@ def run_factorised_point(size: int, seed: int = 3):
         instance = InstancePair(plan.pair, dataset.credit, dataset.billing)
         probes_before = plan.stats.metric_evaluations + plan.stats.cache_hits
         value_pairs_before = plan.stats.value_pairs_evaluated
-        result, seconds = timed(
-            plan.enforce,
-            instance,
-            candidate_pairs=pairs,
-            factorised=factorised,
-        )
+        result, seconds = timed(kernel, plan, instance, candidate_pairs=pairs)
         target_pairs = plan.target.attribute_pairs()
         matches = [
             pair for pair in pairs if result.identified(*pair, target_pairs)
@@ -89,8 +86,8 @@ def run_factorised_point(size: int, seed: int = 3):
             "seconds": seconds,
         }
 
-    factorised = chase(True)
-    pairwise = chase(False)
+    factorised = run(chase_factorised)
+    pairwise = run(chase)
     saving = pairwise["probes"] / max(1, factorised["value_pairs"])
     registry = factorised["workspace"].metrics
     registry.count("factorised.candidates", len(factorised["pairs"]))

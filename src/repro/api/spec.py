@@ -54,6 +54,14 @@ BLOCKING_BACKENDS = ("sorted-neighborhood", "hash")
 #: Execution modes a spec may name in its ``execution`` section.
 EXECUTION_MODES = ("enforce", "direct")
 
+#: Removed ``execution`` keys -> (the no-op value every saved spec wrote,
+#: why the key is gone).  Exactly that value still parses, so older spec
+#: files load with an unchanged fingerprint; any other value is an error.
+RETIRED_EXECUTION_KEYS = {
+    "workers": (1, "the chase always runs serially"),
+    "factorised": (True, "the chase always runs factorised"),
+}
+
 #: Store backends a spec may name in its ``persistence`` section.
 PERSISTENCE_BACKENDS = ("memory", "sqlite")
 
@@ -235,8 +243,6 @@ class ResolutionSpec:
     max_cascade: int = 256
     cache: bool = True
     cache_limit: int = DEFAULT_CACHE_LIMIT
-    workers: int = 1
-    factorised: bool = True
     obs_enabled: bool = False
     trace_path: Optional[str] = None
     trace_format: str = "chrome"
@@ -510,14 +516,12 @@ class ResolutionSpec:
         mode = "enforce"
         max_rounds, max_cascade = 100, 256
         cache, cache_limit = True, DEFAULT_CACHE_LIMIT
-        workers = 1
-        factorised = True
         if not isinstance(execution, dict):
             errors.append(f"execution: expected an object, got {execution!r}")
         else:
             unknown_exec = set(execution) - {
                 "mode", "max_rounds", "max_cascade", "cache", "cache_limit",
-                "workers", "factorised",
+                *RETIRED_EXECUTION_KEYS,
             }
             if unknown_exec:
                 errors.append(f"execution: unknown key(s) {sorted(unknown_exec)}")
@@ -538,14 +542,13 @@ class ResolutionSpec:
                 )
             cache_limit = execution.get("cache_limit", DEFAULT_CACHE_LIMIT)
             _check_int(errors, "execution.cache_limit", cache_limit, 1)
-            workers = execution.get("workers", 1)
-            _check_int(errors, "execution.workers", workers, 1)
-            factorised = execution.get("factorised", True)
-            if not isinstance(factorised, bool):
-                errors.append(
-                    f"execution.factorised: expected true or false, "
-                    f"got {factorised!r}"
-                )
+            for key, (noop, reason) in RETIRED_EXECUTION_KEYS.items():
+                value = execution.get(key, noop)
+                if type(value) is not type(noop) or value != noop:
+                    errors.append(
+                        f"execution.{key}: removed — {reason}; "
+                        "delete this key"
+                    )
 
         # -- observability ----------------------------------------------
         observability = document.get("observability", {})
@@ -691,8 +694,6 @@ class ResolutionSpec:
             max_cascade=max_cascade,
             cache=cache,
             cache_limit=cache_limit,
-            workers=workers,
-            factorised=factorised,
             obs_enabled=obs_enabled,
             trace_path=trace_path,
             trace_format=trace_format,
@@ -758,8 +759,6 @@ class ResolutionSpec:
                 "max_cascade": self.max_cascade,
                 "cache": self.cache,
                 "cache_limit": self.cache_limit,
-                "workers": self.workers,
-                "factorised": self.factorised,
             },
             "observability": {
                 "enabled": self.obs_enabled,
@@ -796,22 +795,14 @@ class ResolutionSpec:
         changes it.  Engine snapshots embed it to reject restores under
         an incompatible spec.
 
-        ``execution.workers`` and ``execution.factorised`` are excluded:
-        both are deployment knobs that provably never change results —
-        the parallel/serial differential suite pins the former, the
-        factorised/pairwise differential suite
-        (``tests/plan/test_factorised_equivalence.py``) the latter — so
-        specs differing only in them share a fingerprint, and a snapshot
-        built serially (or pairwise) restores under a parallel (or
-        factorised) spec.  The whole ``observability`` section is
-        excluded for the same reason: tracing observes a run, it never
-        alters one, so turning it on must not invalidate snapshots or
-        change what a report claims it ran.  ``persistence`` is excluded
-        too: *where* the store lives (memory, a SQLite file, which path)
-        never changes what is matched — the backend differential suite
-        (``tests/engine/test_sqlite_differential.py``) pins that — so a
-        store built under a memory spec resumes under a sqlite one and
-        vice versa.  The ``serve`` section is excluded for the same
+        The whole ``observability`` section is excluded: tracing observes
+        a run, it never alters one, so turning it on must not invalidate
+        snapshots or change what a report claims it ran.  ``persistence``
+        is excluded too: *where* the store lives (memory, a SQLite file,
+        which path) never changes what is matched — the backend
+        differential suite (``tests/engine/test_sqlite_differential.py``)
+        pins that — so a store built under a memory spec resumes under a
+        sqlite one and vice versa.  The ``serve`` section is excluded for the same
         reason: host/port and micro-batching knobs shape *how* a service
         ingests (batch boundaries provably never change results — the
         batch-boundary invariance suite pins that), never *what* it
@@ -822,10 +813,6 @@ class ResolutionSpec:
         cached = self._fingerprint
         if cached is None:
             document = self.to_dict()
-            execution = dict(document["execution"])
-            execution.pop("workers")
-            execution.pop("factorised")
-            document["execution"] = execution
             document.pop("observability")
             document.pop("persistence")
             document.pop("serve")

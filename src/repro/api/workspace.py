@@ -205,8 +205,8 @@ class Workspace:
                 span.set("rules", len(self._plan.rules))
                 span.set("keys", len(self._plan.keys))
             # Hand the workspace's tracer and registry to the plan: the
-            # executors (chase, parallel_chase, the engine) instrument
-            # through ``plan.tracer`` / ``plan.metrics``.
+            # chase and the engine instrument through ``plan.tracer`` /
+            # ``plan.metrics``.
             self._plan.tracer = self.tracer
             self._plan.metrics = self.metrics
         return self._plan
@@ -276,14 +276,10 @@ class Workspace:
 
         ``left`` may be an :class:`~repro.core.semantics.InstancePair`
         (then ``right`` must be omitted) or the left relation of a pair.
-        With ``execution.workers > 1`` in the spec, the chase shards the
-        candidate pairs into connected components and runs them across a
-        process pool (:mod:`repro.plan.parallel`), falling back to the
-        serial loop on small inputs; results are identical either way.
         """
         plan = self.plan
         started = time.perf_counter()
-        with self.tracer.span("enforce", workers=self.spec.workers) as span:
+        with self.tracer.span("enforce") as span:
             if isinstance(left, InstancePair):
                 if right is not None:
                     raise TypeError(
@@ -303,13 +299,6 @@ class Workspace:
                 resolver=self.spec.resolver(),
                 candidate_pairs=candidates,
                 max_rounds=self.spec.max_rounds,
-                workers=self.spec.workers,
-                # The canonical document is what worker processes rebuild the
-                # plan from (repro.plan.parallel); unused when workers == 1.
-                spec_document=(
-                    self.spec.to_dict() if self.spec.workers > 1 else None
-                ),
-                factorised=self.spec.factorised,
             )
             target_pairs = plan.target.attribute_pairs()
             matches = [
@@ -444,7 +433,6 @@ class Workspace:
                 window=spec.window,
                 key_pairs=spec.key_pairs,
                 max_cascade=spec.max_cascade,
-                factorised=spec.factorised,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -506,9 +494,7 @@ class Workspace:
             f"# Workspace: ResolutionSpec v{spec.version}, "
             f"fingerprint {self.fingerprint}",
             f"# execution: mode={spec.mode}, policy={spec.policy}, "
-            f"top_k={spec.top_k}, cache={'on' if spec.cache else 'off'}, "
-            f"workers={spec.workers}, "
-            f"factorised={'on' if spec.factorised else 'off'}",
+            f"top_k={spec.top_k}, cache={'on' if spec.cache else 'off'}",
             self.plan.explain(),
         ]
         return "\n".join(lines)
@@ -518,7 +504,6 @@ class Workspace:
         return run_manifest(
             spec_fingerprint=self.fingerprint,
             mode=self.spec.mode,
-            workers=self.spec.workers,
             policy=self.spec.policy,
             **fields,
         )

@@ -12,8 +12,7 @@ internally — but emits a ``DeprecationWarning``.
 * ``deduce``  — print the spec's quality RCKs;
 * ``check``   — decide Σ ⊨m φ for an MD given on the command line;
 * ``match``   — match two CSV files (``--json`` prints the full
-  :class:`~repro.api.workspace.MatchReport`; ``--workers N`` shards the
-  enforcement chase across a process pool on large inputs);
+  :class:`~repro.api.workspace.MatchReport`);
 * ``plan``    — ``plan explain`` prints the compiled ``EnforcementPlan``;
 * ``demo``    — run the paper's Fig. 1 example end to end;
 * ``engine``  — the incremental streaming engine: ``engine ingest``
@@ -345,19 +344,6 @@ def cmd_match(args) -> int:
     spec = _resolve_spec(
         args, mode="direct", top_k=args.top_k, window=args.window
     )
-    if args.workers is not None:
-        # Never silently ignore a typed flag: direct-mode matching has
-        # no chase to parallelize, so combining the two is an error.
-        if spec.mode != "enforce":
-            raise CliError(
-                "--workers applies to the 'enforce' execution mode, but "
-                f"this run uses {spec.mode!r}; set execution.mode to "
-                "\"enforce\" in the spec to chase in parallel"
-            )
-        try:
-            spec = _override_spec(spec, **{"execution.workers": args.workers})
-        except SpecError as error:
-            raise CliError("\n".join(error.errors)) from None
     spec = _trace_spec(spec, args)
     workspace = _workspace(spec)
     plan = workspace.plan
@@ -407,9 +393,10 @@ def _factorisation_stats(plan, left_path: Path, right_path: Path):
     """Factorise the blocking output of two CSVs: the dedup the kernel gets.
 
     ``blocks`` counts the connected components of the candidate pairs
-    (the units the parallel executor shards); ``value_pair_groups`` the
-    distinct LHS value-pair signatures (the units the factorised chase
-    evaluates); ``dedup_ratio`` is pairs per group.
+    (sets of pairs that chase independently of each other);
+    ``value_pair_groups`` the distinct LHS value-pair signatures (the
+    units the chase evaluates rules on); ``dedup_ratio`` is pairs per
+    group.
     """
     from repro.core.semantics import InstancePair
     from repro.plan.factorise import PairGroupIndex
@@ -527,6 +514,7 @@ def cmd_engine_ingest(args) -> int:
         raise CliError(f"{store_path}: {error}") from None
     merges_before = matcher.store.merges
     ingested = 0
+    truncated = 0
     for side, schema, data_path in (
         (LEFT, pair.left, args.left),
         (RIGHT, pair.right, args.right),
@@ -535,8 +523,9 @@ def cmd_engine_ingest(args) -> int:
             continue
         relation = _load_csv_relation(schema, Path(data_path))
         for row in relation:
-            matcher.ingest(side, row.values())
+            result = matcher.ingest(side, row.values())
             ingested += 1
+            truncated += result.cascade_truncated
     if matcher.store.backend_name == "sqlite":
         # Every ingest already committed durably; just flush the tail.
         matcher.store.commit()
@@ -549,6 +538,15 @@ def cmd_engine_ingest(args) -> int:
         store=str(store_path),
         ingested=ingested,
     )
+    if truncated:
+        print(
+            f"warning: the repair cascade hit its budget "
+            f"(execution.max_cascade={spec.max_cascade}) on {truncated} "
+            f"ingest(s); some repaired records' neighborhoods were not "
+            f"re-examined, so clusters may be incomplete — raise "
+            f"execution.max_cascade",
+            file=sys.stderr,
+        )
     stats = matcher.store.stats()
     stats["ingested"] = ingested
     stats["new_merges"] = matcher.store.merges - merges_before
@@ -829,12 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("-o", "--output", help="write pairs CSV here")
     match.add_argument("--top-k", type=int, help="RCKs to use (default 5)")
     match.add_argument("--window", type=int, help="window size (default 10)")
-    match.add_argument(
-        "--workers", type=int,
-        help="chase worker processes for the 'enforce' execution mode "
-        "(default: the spec's execution.workers, i.e. 1 = serial; "
-        "large instances shard into connected components)",
-    )
     match.add_argument(
         "--json", action="store_true",
         help="print the full MatchReport as JSON (pairs, clusters, "

@@ -223,8 +223,9 @@ class _CellUnionFind:
         """Every merged class with more than one member.
 
         Singleton classes (cells only ever touched by :meth:`find`) carry
-        no identification and are omitted; the parallel merge step unions
-        per-shard results through this view.
+        no identification and are omitted; the chase property and
+        differential suites compare kernels' identifications through
+        this view.
         """
         return [
             set(members)
@@ -295,8 +296,8 @@ def enforce(
 
     This is the *reference entry point*: it compiles Σ into a throwaway
     :class:`~repro.plan.compile.EnforcementPlan` and delegates to the one
-    chase kernel (:func:`repro.plan.executor.chase`).  Matchers that chase
-    repeatedly hold a long-lived plan instead and call
+    chase kernel (:func:`repro.plan.executor.chase_factorised`).
+    Matchers that chase repeatedly hold a long-lived plan instead and call
     :meth:`~repro.plan.compile.EnforcementPlan.enforce` directly, sharing
     the compiled predicates and the similarity memo cache across runs.
 

@@ -165,7 +165,6 @@ class IncrementalMatcher:
         key_pairs=None,
         max_cascade: int = 256,
         plan: Optional[EnforcementPlan] = None,
-        factorised: bool = True,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -200,11 +199,6 @@ class IncrementalMatcher:
         self.registry = plan.registry
         self.resolver = resolver
         self.max_cascade = max_cascade
-        #: Chase each delta factorised (repro.plan.factorise).  The group
-        #: verdict cache lives on the shared plan, so a stream of
-        #: near-duplicates keeps reusing verdicts across ingests — the
-        #: incremental counterpart of the similarity memo.
-        self.factorised = factorised
         if store is None:
             store = MatchStore(
                 self.target,
@@ -255,7 +249,8 @@ class IncrementalMatcher:
         cascade stops immediately when no merge repairs anything (the
         common, clean-data case); ``max_cascade`` bounds the number of
         record re-enforcements per ingest as a safety valve, and hitting
-        it is reported via :attr:`IngestResult.cascade_truncated`.
+        it is reported via :attr:`IngestResult.cascade_truncated` and the
+        ``engine.cascade_truncated`` counter.
         """
         store = self.store
         started = time.perf_counter()
@@ -354,6 +349,8 @@ class IncrementalMatcher:
                     if changed_record not in queued:
                         queue.append(changed_record)
                         queued.add(changed_record)
+        if queue:
+            self.metrics.count("engine.cascade_truncated")
         return _MergeOutcome(
             pairs=all_pairs,
             matches=all_matches,
@@ -658,10 +655,10 @@ class IncrementalMatcher:
         identified all target cells, exactly the batch matcher's decision
         rule: both run :meth:`EnforcementPlan.enforce` on the same
         compiled rules, and the plan's similarity cache persists across
-        ingests (a stream of near-duplicates keeps hitting it).  On the
-        factorised path the plan's group-verdict cache persists the same
-        way: a delta whose pairs present already-seen value-pair
-        signatures costs zero predicate probes.
+        ingests (a stream of near-duplicates keeps hitting it).  The
+        plan's group-verdict cache persists the same way: a delta whose
+        pairs present already-seen value-pair signatures costs zero
+        predicate probes.
         """
         store = self.store
         involved_left = sorted({left_tid for left_tid, _ in pairs})
@@ -684,7 +681,6 @@ class IncrementalMatcher:
             instance,
             resolver=self.resolver,
             candidate_pairs=list(pairs),
-            factorised=self.factorised,
         )
         matches = [
             (left_tid, right_tid)

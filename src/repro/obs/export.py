@@ -5,12 +5,11 @@ format, directly loadable in ``about:tracing`` or https://ui.perfetto.dev
 (both ignore unknown top-level keys), carrying three sections:
 
 * ``traceEvents`` — one complete (``"ph": "X"``) event per span, with
-  microsecond timestamps re-based to the earliest span.  Spans whose
-  attributes carry a ``worker`` tag (merged from pool processes) render
-  on their own named thread row, so shard balance is visible at a glance;
+  microsecond timestamps re-based to the earliest span, all on the one
+  ``main`` thread row;
 * ``manifest`` — the run manifest: spec fingerprint, execution mode,
-  workers, command line, platform — everything needed to say *what* run
-  this trace observed (see :func:`run_manifest`);
+  command line, platform — everything needed to say *what* run this
+  trace observed (see :func:`run_manifest`);
 * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry` render
   of the run's counters/gauges/histograms.
 
@@ -26,7 +25,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer
@@ -39,7 +38,7 @@ def run_manifest(**fields) -> Dict[str, object]:
     """A run manifest: environment stamp plus caller-supplied fields.
 
     Callers layer in what identifies the run — the workspace adds the
-    spec fingerprint/mode/workers, the CLI adds its argv and data files.
+    spec fingerprint/mode/policy, the CLI adds its argv and data files.
     """
     manifest: Dict[str, object] = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -51,11 +50,8 @@ def run_manifest(**fields) -> Dict[str, object]:
 
 
 def _span_events(
-    span: Span, origin: float, tid: int, events: List[Dict[str, object]]
+    span: Span, origin: float, events: List[Dict[str, object]]
 ) -> None:
-    worker = span.attrs.get("worker")
-    if isinstance(worker, int):
-        tid = worker + 1
     events.append(
         {
             "name": span.name,
@@ -64,12 +60,12 @@ def _span_events(
             "ts": round((span.start - origin) * 1e6, 3),
             "dur": round(span.duration * 1e6, 3),
             "pid": 1,
-            "tid": tid,
+            "tid": 0,
             "args": dict(span.attrs),
         }
     )
     for child in span.children:
-        _span_events(child, origin, tid, events)
+        _span_events(child, origin, events)
 
 
 def trace_document(
@@ -81,22 +77,17 @@ def trace_document(
     roots = tracer.spans()
     origin = min((span.start for span in roots), default=0.0)
     events: List[Dict[str, object]] = []
-    tids = {0}
     for root in roots:
-        _span_events(root, origin, 0, events)
-    for event in events:
-        tids.add(event["tid"])
-    # Named thread rows: the main line plus one per merged worker.
-    for tid in sorted(tids):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": "main" if tid == 0 else f"worker-{tid - 1}"},
-            }
-        )
+        _span_events(root, origin, events)
+    events.append(
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 1,
+            "tid": 0,
+            "args": {"name": "main"},
+        }
+    )
     return {
         "displayTimeUnit": "ms",
         "manifest": manifest or run_manifest(),
@@ -232,7 +223,7 @@ def summarize_trace(document: Dict[str, object]) -> str:
     if manifest:
         rendered = ", ".join(
             f"{key}={manifest[key]}"
-            for key in ("spec_fingerprint", "mode", "workers", "created_at")
+            for key in ("spec_fingerprint", "mode", "created_at")
             if key in manifest
         )
         lines.append(f"# trace manifest: {rendered or manifest}")

@@ -4,16 +4,15 @@ MDs and RCKs are declarative; this package lowers a rule set into one
 executable :class:`~repro.plan.compile.EnforcementPlan` — deduplicated
 comparison predicates with metrics resolved at compile time, a value-keyed
 similarity memo cache, a pluggable blocking backend, and the
-enforcement-chase kernel (:mod:`repro.plan.executor`), which by default
-runs **factorised**: candidate pairs grouped by distinct LHS value-pair
+enforcement-chase kernel (:mod:`repro.plan.executor`), which runs
+**factorised**: candidate pairs grouped by distinct LHS value-pair
 signature (:mod:`repro.plan.factorise`), one rule verdict per group
 instead of per record pair — shared by the batch
 matchers (:mod:`repro.matching.pipeline`), the streaming engine
 (:mod:`repro.engine`), the experiments, and the CLI
-(``repro plan explain``).  Large instances shard: candidate pairs split
-into connected components (:mod:`repro.plan.shard`) that chase in
-parallel worker processes (:mod:`repro.plan.parallel`), provably
-equivalent to the serial loop.
+(``repro plan explain``).  The chase runs serially in the calling
+process; :mod:`repro.plan.shard` computes the connected components of a
+candidate-pair set, which chase independently of each other.
 
 Layering: :mod:`repro.plan` depends only on ``core``, ``metrics`` and
 ``relations``; the matching and engine layers depend on it, never the
@@ -56,13 +55,10 @@ from .compile import (
 )
 from .executor import chase, chase_factorised
 from .factorise import PairGroup, PairGroupIndex
-from .parallel import PARALLEL_MIN_PAIRS, parallel_chase, plan_spec_document
-from .shard import Shard, assign_shards, shard_pairs
+from .shard import Shard, shard_pairs
 from .sn_index import WindowedSNIndex
 
 __all__ = [
-    "PARALLEL_MIN_PAIRS",
-    "Shard",
     "BlockingBackend",
     "CompiledKey",
     "CompiledPredicate",
@@ -77,9 +73,9 @@ __all__ = [
     "PlanStats",
     "RCKIndex",
     "RowKey",
+    "Shard",
     "SortedNeighborhoodBackend",
     "WindowedSNIndex",
-    "assign_shards",
     "attribute_key",
     "chase",
     "chase_factorised",
@@ -87,8 +83,6 @@ __all__ = [
     "hash_candidates",
     "indexes_from_rcks",
     "leading_attribute_pairs",
-    "parallel_chase",
-    "plan_spec_document",
     "rck_sort_keys",
     "shard_pairs",
     "window_candidates",

@@ -17,7 +17,7 @@ module lowers a rule set **once**:
   applied twice to the same value pair (across rules, chase rounds,
   matchers, or stream ingests) is computed once and then served from the
   cache;
-* the chase runs **factorised** by default (:mod:`repro.plan.factorise`):
+* the chase runs **factorised** (:mod:`repro.plan.factorise`):
   candidate pairs group by their distinct LHS value-pair signature and
   every rule verdict is computed once per group
   (:meth:`EnforcementPlan.group_verdict`), not once per record pair —
@@ -51,7 +51,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
 from .blocking import BlockingBackend, Pair, SortedNeighborhoodBackend
-from .executor import chase, chase_factorised
+from .executor import chase_factorised
 
 #: Default bound on memoized (predicate, value, value) entries; the cache
 #: is cleared wholesale when it fills (simple, allocation-free policy).
@@ -112,11 +112,6 @@ class PlanStats:
     rule_applications: int = 0
     chase_rounds: int = 0
     enforcements: int = 0
-    #: Parallel execution counters (repro.plan.parallel): connected
-    #: components chased, pool executions, and pool processes started.
-    shards: int = 0
-    parallel_chases: int = 0
-    workers_spawned: int = 0
     #: Chases that hit ``max_rounds`` before reaching a fixpoint (each
     #: such chase also sets ``EnforcementResult.rounds_exhausted``; the
     #: CLI surfaces this as a warning).
@@ -129,19 +124,14 @@ class PlanStats:
     value_pairs_evaluated: int = 0
     groups_built: int = 0
     factorisation_ratio: float = 0.0
-    #: Why the last ``workers > 1`` enforcement ran serially after all
-    #: (``None`` while no fallback has happened, or after a successful
-    #: parallel chase).  The one non-counter field — previously the
-    #: reason was undiscoverable at runtime.
-    serial_fallback_reason: Optional[str] = None
 
     def reset(self) -> None:
-        """Restore every field to its default (0 for the counters)."""
+        """Restore every counter to 0."""
         for spec in fields(self):
             setattr(self, spec.name, spec.default)
 
     def as_dict(self) -> Dict[str, object]:
-        """The counters (plus the fallback reason) as a JSON dict."""
+        """The counters as a JSON dict."""
         return dict(vars(self))
 
 
@@ -320,55 +310,19 @@ class EnforcementPlan:
         resolver=None,
         candidate_pairs: Optional[Sequence[Pair]] = None,
         max_rounds: int = 100,
-        workers: int = 1,
-        spec_document: Optional[Dict[str, object]] = None,
-        start_method: Optional[str] = None,
-        factorised: bool = True,
     ):
-        """Run the enforcement chase; see :func:`repro.plan.executor.chase`.
+        """Run the enforcement chase in this process.
 
-        ``factorised`` (the default) chases over distinct value-pair
-        groups (:func:`repro.plan.executor.chase_factorised`) instead of
-        record pairs — provably the same result, asymptotically fewer
-        predicate probes on duplicate-heavy data.  ``workers > 1`` routes
-        through the sharded parallel executor
-        (:func:`repro.plan.parallel.parallel_chase`), which needs a
-        ``spec_document`` to rebuild this plan in worker processes — it
-        falls back to the serial loop when one cannot be derived, when
-        the input is small, or when the pairs form one connected
-        component (the exact conditions are documented there).
+        The chase runs over distinct value-pair groups
+        (:func:`repro.plan.executor.chase_factorised`): one rule verdict
+        per distinct LHS signature instead of per record pair.
         """
         from repro.core.semantics import prefer_informative
 
-        resolver = resolver if resolver is not None else prefer_informative
-        if workers > 1:
-            from .parallel import parallel_chase, plan_spec_document
-
-            if spec_document is None:
-                spec_document = plan_spec_document(self)
-            return parallel_chase(
-                self,
-                instance,
-                spec_document=spec_document,
-                resolver=resolver,
-                candidate_pairs=candidate_pairs,
-                workers=workers,
-                max_rounds=max_rounds,
-                start_method=start_method,
-                factorised=factorised,
-            )
-        if factorised and self.rules:
-            return chase_factorised(
-                self,
-                instance,
-                resolver=resolver,
-                candidate_pairs=candidate_pairs,
-                max_rounds=max_rounds,
-            )
-        return chase(
+        return chase_factorised(
             self,
             instance,
-            resolver=resolver,
+            resolver=resolver if resolver is not None else prefer_informative,
             candidate_pairs=candidate_pairs,
             max_rounds=max_rounds,
         )
@@ -406,8 +360,7 @@ class EnforcementPlan:
             "spans": [
                 "compile", "match", "enforce", "blocking", "chase",
                 "chase-round", "factorise", "resolve-merged",
-                "stability-check", "provenance", "parallel-chase",
-                "shard-pairs", "pool", "merge-shards", "ingest",
+                "stability-check", "provenance", "ingest",
             ],
         }
 

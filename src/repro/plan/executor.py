@@ -1,17 +1,18 @@
 """The enforcement chase, executed over a compiled plan.
 
-Two executions of one semantics live here: :func:`chase`, the pairwise
-loop (the former :func:`repro.core.semantics.enforce` body re-targeted to
-compiled rules), and :func:`chase_factorised`, the default since the
-factorised kernel landed — it chases distinct value-pair groups
-(:mod:`repro.plan.factorise`) and expands to record pairs only when a
-group's LHS verdict fires.  Every LHS conjunct is a pre-resolved
-predicate evaluated through the plan's similarity cache, so repeated
-chase rounds (and rules sharing atoms) never recompute a metric on the
-same value pair; the factorised path additionally computes each rule
-verdict once per distinct signature instead of once per pair.  Both
+Two executions of one semantics live here.  :func:`chase_factorised` is
+the production kernel: every :meth:`EnforcementPlan.enforce` call runs
+it, serially, in the calling process.  It chases distinct value-pair
+groups (:mod:`repro.plan.factorise`) and expands to record pairs only
+when a group's LHS verdict fires.  :func:`chase`, the pairwise loop (the
+former :func:`repro.core.semantics.enforce` body re-targeted to compiled
+rules), is the reference kernel: the differential and property suites
+compare :func:`chase_factorised` against it, and nothing in production
+calls it.  Every LHS conjunct is a pre-resolved predicate evaluated
+through the plan's similarity cache, so repeated chase rounds (and rules
+sharing atoms) never recompute a metric on the same value pair.  Both
 produce identical :class:`~repro.core.semantics.EnforcementResult`
-contents (the differential suite pins it).
+contents (``tests/plan/test_factorised_equivalence.py`` pins it).
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
 here; the batch :class:`~repro.matching.pipeline.EnforcementMatcher` and
@@ -72,8 +73,8 @@ def _resolve_touched(
             # Feed the resolver a *sorted* member order: members()
             # returns a set, and set iteration order depends on the
             # process hash seed — an order-dependent policy
-            # (first-non-null) would otherwise resolve differently in
-            # spawn workers than in the serial parent.
+            # (first-non-null) would otherwise resolve differently from
+            # one run to the next.
             values = [
                 _cell_value(working, member, shared)
                 for member in sorted(members)
@@ -104,6 +105,10 @@ def chase(
     max_rounds: int = 100,
 ) -> EnforcementResult:
     """Chase ``instance`` with the plan's compiled rules to a stable extension.
+
+    The pairwise reference kernel: it decides exactly what
+    :func:`chase_factorised` decides, one record pair at a time, and the
+    differential suites use it as the oracle for the production kernel.
 
     Each round scans the candidate tuple pairs; whenever a pair matches a
     rule's LHS in the *current* instance, the RHS cells are merged and every
@@ -239,7 +244,7 @@ def chase_factorised(
     candidate_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     max_rounds: int = 100,
 ) -> EnforcementResult:
-    """The factorised twin of :func:`chase` — same result, grouped work.
+    """The production chase: :func:`chase`'s result, computed per group.
 
     Candidate pairs are grouped by their distinct LHS value-pair
     signature (:class:`~repro.plan.factorise.PairGroupIndex`); each round
@@ -258,8 +263,7 @@ def chase_factorised(
     order-independent (it equals the drop in the number of cell classes);
     and the dirty sets coincide because repairs are applied to the same
     classes.  Hence rounds, applications, stability, merged classes and
-    repaired values are all identical — which is why the
-    ``execution.factorised`` spec knob stays out of the fingerprint.
+    repaired values are all identical.
     """
     working = instance.copy()
     cells = _CellUnionFind()

@@ -1,4 +1,4 @@
-"""Partition candidate pairs into independently chaseable shards.
+"""Partition candidate pairs into independently chaseable components.
 
 The chase (:mod:`repro.plan.executor`) only ever touches cells of tuples
 that appear in some candidate pair: a rule application merges cells of
@@ -7,24 +7,20 @@ merged classes.  Two candidate pairs that share no tuple therefore
 cannot influence each other — the connected components of the pair
 graph (tuples as nodes, candidate pairs as edges) chase to exactly the
 same merges, repairs and stability verdicts whether they run in one
-loop or in isolation.  That is what makes the kernel shardable: the
-paper's semantics are order-independent up to the resolver, and the
-resolver only ever sees one merged class, which never spans components.
+loop or in isolation.  This chase-locality property is pinned by
+``tests/plan/test_chase_properties.py``; the resolver only ever sees
+one merged class, which never spans components.
 
-:func:`shard_pairs` computes the components; :func:`assign_shards`
-packs them into per-worker bins balanced by pair count (longest
-processing time first), so :mod:`repro.plan.parallel` can chase each
-bin in its own process.  Both are deterministic: same pairs in, same
-shards and bins out.
+:func:`shard_pairs` computes the components deterministically: same
+pairs in, same shards out.  ``repro plan explain --left A --right B``
+reports their count as ``blocks``.
 
-Every blocking backend feeds this partitioner the same way.  Hash
-candidates decompose per bucket; sorted-neighborhood candidates from
-the rank-encoded :class:`~repro.plan.sn_index.WindowedSNIndex` decompose
-per block run, because the index splits its runs at block boundaries
-and windows never span one.  (The legacy batch SN backend's overlapping
-windows chained everything into a single component, which is why SN
-specs historically always hit the ``single-component`` serial
-fallback.)
+Every blocking backend decomposes the same way.  Hash candidates split
+per bucket; sorted-neighborhood candidates from the rank-encoded
+:class:`~repro.plan.sn_index.WindowedSNIndex` split per block run,
+because the index splits its runs at block boundaries and windows never
+span one.  (The legacy batch SN backend's overlapping windows chained
+everything into a single component.)
 """
 
 from __future__ import annotations
@@ -46,8 +42,9 @@ class Shard:
     """One connected component of the candidate-pair graph.
 
     ``pairs`` keeps the input ordering (the chase scans pairs in order,
-    so per-shard executions replay the serial scan order restricted to
-    the component); the tid sets say which tuples a worker must receive.
+    so chasing one component alone replays the full scan order
+    restricted to it); the tid sets say which tuples the component
+    touches.
     """
 
     pairs: Tuple[Pair, ...]
@@ -101,24 +98,3 @@ def shard_pairs(pairs: Sequence[Pair], shared: bool = False) -> List[Shard]:
         shards.append(Shard(tuple(component), left_tids, right_tids))
     return shards
 
-
-def assign_shards(shards: Sequence[Shard], workers: int) -> List[List[Shard]]:
-    """Pack shards into at most ``workers`` bins, balanced by pair count.
-
-    Greedy longest-processing-time: shards are placed largest first into
-    the currently lightest bin (ties broken by bin index, keeping the
-    assignment deterministic).  Empty bins are dropped, so the result has
-    ``min(workers, len(shards))`` entries.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    bins: List[List[Shard]] = [[] for _ in range(min(workers, len(shards)))]
-    loads = [0] * len(bins)
-    order = sorted(
-        range(len(shards)), key=lambda index: (-len(shards[index]), index)
-    )
-    for index in order:
-        lightest = loads.index(min(loads))
-        bins[lightest].append(shards[index])
-        loads[lightest] += len(shards[index])
-    return [bin_ for bin_ in bins if bin_]

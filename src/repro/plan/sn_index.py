@@ -2,9 +2,8 @@
 
 The legacy :class:`~repro.plan.blocking.SortedNeighborhoodBackend` is
 batch-only — it sorts the merged sequence from scratch per call, and its
-overlapping windows chain every pair into a single connected component,
-defeating the shard executor (the documented ``single-component`` serial
-fallback).  The streaming engine could not use it at all, which is how
+overlapping windows chain every pair into a single connected component.
+The streaming engine could not use it at all, which is how
 sorted-neighborhood specs ended up silently streaming under *hash*
 semantics.
 
@@ -20,9 +19,9 @@ that turn traversals into range scans:
 * the sorted sequence is **split at block boundaries** — runs are
   partitioned by the leading key component (the encoded leading
   attribute), and windows never span a boundary.  Adjacent windows in
-  different blocks therefore share no pairs, sorted-neighborhood
-  workloads decompose into many connected components, and the parallel
-  executor shards them instead of falling back to serial.
+  different blocks therefore share no pairs, and sorted-neighborhood
+  workloads decompose into many connected components
+  (:func:`repro.plan.shard.shard_pairs`) that chase independently.
 
 Block confinement alone would be lossy: two records that disagree on the
 leading attribute (a typo'd first name, say) can never share a block, no

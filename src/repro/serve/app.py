@@ -5,8 +5,9 @@ Endpoints (all JSON unless noted):
 - ``POST /ingest`` — one record (``{"side", "values", "tid"?}``) or a
   list (``{"records": [...]}``); each event rides a per-tenant
   micro-batch (one pooled chase per batch) and resolves to its
-  ``seq``/``tid``/``matches``.  A full queue answers **429** with
-  ``Retry-After`` — backpressure, never silent loss.
+  ``seq``/``tid``/``matches``/``merged``/``cascade_truncated``.  A
+  full queue answers **429** with ``Retry-After`` — backpressure, never
+  silent loss.
 - ``POST /match`` — batch matching over inline rows
   (``{"left": [...], "right": [...]}``); the CLI's report shape.
 - ``GET /query/<tid>?side=left|right`` — the record's live cluster.
@@ -348,6 +349,7 @@ class ResolutionServer:
                     "candidates": len(result.candidates),
                     "matches": [list(pair) for pair in result.matches],
                     "merged": result.merged,
+                    "cascade_truncated": result.cascade_truncated,
                 }
             )
         self.metrics.count("serve.ingested", len(results))

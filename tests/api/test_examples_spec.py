@@ -42,6 +42,19 @@ def test_example_spec_is_valid_and_versioned():
     assert ResolutionSpec.validate_document(document) == []
 
 
+def test_example_spec_fingerprint_is_pinned():
+    """Existing stores and snapshots embed this fingerprint; keep it.
+
+    Older saves of the same spec also carry the retired no-op keys
+    ``execution.workers: 1`` and ``execution.factorised: true``; they
+    must load to the same fingerprint.
+    """
+    assert ResolutionSpec.from_file(SPEC_PATH).fingerprint() == "bb08144399820b1a"
+    document = json.loads(SPEC_PATH.read_text())
+    document["execution"].update(workers=1, factorised=True)
+    assert ResolutionSpec.from_dict(document).fingerprint() == "bb08144399820b1a"
+
+
 def test_cli_spec_validate_accepts_it(capsys):
     assert main(["spec", "validate", str(SPEC_PATH)]) == 0
     assert "OK:" in capsys.readouterr().out

@@ -87,16 +87,20 @@ class TestFingerprint:
         assert ResolutionSpec.from_dict(document).fingerprint() != base
 
     def test_workers_is_not_material(self, document):
-        """The worker count never changes results, so never the hash.
+        """The retired no-op keys older saved specs carry change nothing.
 
-        Engine snapshots embed the fingerprint; a store built serially
-        must restore under a spec that merely turns parallelism on.
+        Every earlier ``spec.save()`` wrote ``"workers": 1`` and
+        ``"factorised": true``.  Engine snapshots embed the fingerprint,
+        so such a spec must load with the fingerprint it had, and its
+        canonical form drops the keys.
         """
-        base = ResolutionSpec.from_dict(document).fingerprint()
-        document["execution"] = {"workers": 8}
+        base = ResolutionSpec.from_dict(document)
+        document["execution"] = {"workers": 1, "factorised": True}
         spec = ResolutionSpec.from_dict(document)
-        assert spec.workers == 8
-        assert spec.fingerprint() == base
+        assert spec == base
+        assert spec.fingerprint() == base.fingerprint()
+        assert "workers" not in spec.to_dict()["execution"]
+        assert "factorised" not in spec.to_dict()["execution"]
 
 
 class TestValidation:
@@ -175,10 +179,28 @@ class TestValidation:
         assert any("coin-flip" in error for error in errors)
         assert any("psychic" in error for error in errors)
 
-    def test_workers_must_be_a_positive_int(self, document):
-        document["execution"] = {"workers": 0}
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            {"workers": 0},
+            {"workers": 4},
+            {"workers": True},
+            {"factorised": False},
+            {"factorised": 1},
+        ],
+        ids=["workers-0", "workers-4", "workers-true", "factorised-false",
+             "factorised-1"],
+    )
+    def test_retired_keys_reject_other_values(self, document, execution):
+        """Only the old no-op value parses; anything else says to delete."""
+        document["execution"] = execution
+        (key,) = execution
         errors = ResolutionSpec.validate_document(document)
-        assert any("execution.workers" in error for error in errors)
+        assert errors == [
+            f"execution.{key}: removed — the chase always runs "
+            f"{'serially' if key == 'workers' else 'factorised'}; "
+            "delete this key"
+        ]
 
     def test_all_errors_reported_at_once(self, document):
         document["version"] = 2

@@ -93,8 +93,8 @@ class TestMetricsRegistry:
     def test_absorb_counters_routes_non_numeric_to_gauges(self):
         registry = MetricsRegistry()
         registry.absorb_counters(
-            {"pairs_compared": 5, "serial_fallback_reason": "single-component"}
+            {"pairs_compared": 5, "mode": "enforce"}
         )
         rendered = registry.as_dict()
         assert rendered["counters"]["pairs_compared"] == 5
-        assert rendered["gauges"]["serial_fallback_reason"] == "single-component"
+        assert rendered["gauges"]["mode"] == "enforce"

@@ -1,8 +1,7 @@
 """Property-based tests (Hypothesis) for the enforcement chase.
 
 Randomized small instances and MD sets over a fixed schema pair check
-the kernel's algebraic contracts — the ones the sharded parallel
-executor (:mod:`repro.plan.parallel`) relies on:
+the kernel's algebraic contracts:
 
 * **immutability** — the original instance is never mutated, whatever
   the rules do ("in the matching process instance D may not be
@@ -13,10 +12,11 @@ executor (:mod:`repro.plan.parallel`) relies on:
   rounds: every cell pair merged under ``max_rounds=k`` stays merged
   under any larger bound, and a chase that did not exhaust its rounds
   decides exactly what the unbounded chase decides;
-* **shard-union == full-run** — chasing each connected component of the
-  candidate pairs separately (in process, no pool) and unioning the
-  results reproduces the full chase's identifications and repaired
-  values, the soundness argument behind ``plan/parallel.py``.
+* **chase locality (shard-union == full-run)** — chasing each connected
+  component of the candidate pairs (:func:`repro.plan.shard_pairs`)
+  separately and unioning the results reproduces the full chase's
+  identifications and repaired values: pairs that share no tuple never
+  influence each other.
 
 The shapes are deliberately tiny (≤ 8 rows per side, ≤ 3 MDs over a
 3-attribute schema with equality operators): the properties are about

@@ -1,18 +1,16 @@
 """Differential suite: the factorised chase ≡ the pairwise chase.
 
-``execution.factorised`` is excluded from the spec fingerprint on the
-claim that grouping candidate pairs by LHS value-pair signature
-(:mod:`repro.plan.factorise`) never changes what the chase decides —
-this suite is that claim's evidence.  For every
-:mod:`repro.datagen.streams` arrival scenario and worker count 1/2/4,
-matching through :class:`repro.api.Workspace` with ``factorised`` on
-and off must produce *identical* MatchReports — same pairs, same
-clusters, same provenance, and the same spec fingerprint.  A
+Every enforcement runs :func:`repro.plan.executor.chase_factorised`,
+which groups candidate pairs by LHS value-pair signature
+(:mod:`repro.plan.factorise`).  The pairwise
+:func:`~repro.plan.executor.chase` is the reference kernel it must
+agree with, and this suite is that claim's evidence.  For every
+:mod:`repro.datagen.streams` arrival scenario on three datasets, the
+two kernels must decide *identical* matches over the spec's blocking
+candidates, with the same rounds, applications and chased values.  A
 value-level test additionally pins that the chased instances agree
-cell by cell, and Hypothesis properties check the kernel pair
-(:func:`repro.plan.executor.chase` vs
-:func:`~repro.plan.executor.chase_factorised`) on random instances and
-the group index's expansion/migration contract directly.
+cell by cell, and Hypothesis properties check the kernel pair on random
+instances and the group index's expansion/migration contract directly.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.datagen.streams import (
     late_duplicate_stream,
 )
 from repro.experiments.harness import resolution_spec_document
-from repro.plan import compile_plan, parallel
+from repro.plan import compile_plan
 from repro.plan.executor import chase, chase_factorised
 from repro.plan.factorise import PairGroupIndex
 from repro.relations.relation import Relation
@@ -43,14 +41,6 @@ SCENARIOS = {
     "duplicate-burst": duplicate_burst_stream,
     "late-duplicate": late_duplicate_stream,
 }
-
-SEED = 3
-
-
-@pytest.fixture(autouse=True)
-def force_pool(monkeypatch):
-    """Drop the serial fallback threshold so workers=2/4 use the pool."""
-    monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
 
 
 def _scenario_relations(dataset, make_stream, seed):
@@ -64,83 +54,75 @@ def _scenario_relations(dataset, make_stream, seed):
     return left, right
 
 
-def _workspace(dataset, workers, factorised):
+def _workspace(dataset):
     document = resolution_spec_document(
         dataset.pair,
         dataset.target,
         extended_mds(dataset.pair),
         blocking={"backend": "hash", "key_length": 2},
-        execution={
-            "mode": "enforce",
-            "workers": workers,
-            "factorised": factorised,
-        },
+        execution={"mode": "enforce"},
     )
     return Workspace.from_dict(document)
 
 
+def _kernel_run(kernel, dataset, left, right):
+    """One kernel on a fresh plan: its result, matches and probe counts."""
+    plan = _workspace(dataset).plan
+    pairs = plan.candidates(left, right)
+    instance = InstancePair(plan.pair, left, right)
+    result = kernel(plan, instance, candidate_pairs=pairs)
+    target_pairs = plan.target.attribute_pairs()
+    matches = [
+        pair for pair in pairs if result.identified(*pair, target_pairs)
+    ]
+    return result, matches, plan.stats
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS), ids=sorted(SCENARIOS))
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_factorised_and_pairwise_reports_identical(scenario, workers):
-    dataset = generate_dataset(120, seed=SEED)
-    left, right = _scenario_relations(dataset, SCENARIOS[scenario], SEED)
+@pytest.mark.parametrize("seed", (1, 2, 4))
+def test_factorised_and_pairwise_reports_identical(scenario, seed):
+    dataset = generate_dataset(120, seed=seed)
+    left, right = _scenario_relations(dataset, SCENARIOS[scenario], seed)
 
-    pairwise_workspace = _workspace(dataset, workers, factorised=False)
-    pairwise = pairwise_workspace.match(left, right)
-    assert pairwise_workspace.plan.stats.value_pairs_evaluated == 0
-    assert pairwise_workspace.plan.stats.groups_built == 0
+    pairwise, pairwise_matches, pairwise_stats = _kernel_run(
+        chase, dataset, left, right
+    )
+    assert pairwise_stats.value_pairs_evaluated == 0
+    assert pairwise_stats.groups_built == 0
 
-    workspace = _workspace(dataset, workers, factorised=True)
-    report = workspace.match(left, right)
-    assert report.matches == pairwise.matches
-    assert report.candidates == pairwise.candidates
-    assert report.clusters == pairwise.clusters
-    assert report.provenance == pairwise.provenance
-    # Factorisation is a deployment knob: same fingerprint either way.
-    assert report.fingerprint == pairwise.fingerprint
+    factorised, matches, stats = _kernel_run(
+        chase_factorised, dataset, left, right
+    )
+    assert matches == pairwise_matches
+    assert _values(factorised.instance) == _values(pairwise.instance)
+    assert factorised.rounds == pairwise.rounds
+    assert factorised.applications == pairwise.applications
     # The factorised run really took the group-at-a-time path ...
-    assert workspace.plan.stats.value_pairs_evaluated > 0
-    assert workspace.plan.stats.groups_built > 0
+    assert stats.value_pairs_evaluated > 0
+    assert stats.groups_built > 0
     # ... and it never probed more value pairs than the pairwise chase
     # probed (pair, atom) combinations.
     assert (
-        workspace.plan.stats.value_pairs_evaluated
-        <= pairwise_workspace.plan.stats.metric_evaluations
-        + pairwise_workspace.plan.stats.cache_hits
+        stats.value_pairs_evaluated
+        <= pairwise_stats.metric_evaluations + pairwise_stats.cache_hits
     )
 
 
 def test_factorised_and_pairwise_resolved_values_identical():
-    """Cell-level equivalence: the chased instances agree everywhere."""
+    """Cell-level equivalence on the unshuffled datasets."""
     for seed in (3, 11):
         dataset = generate_dataset(120, seed=seed)
-
-        def chased_values(factorised):
-            workspace = _workspace(dataset, 1, factorised)
-            plan = workspace.plan
-            pairs = plan.candidates(dataset.credit, dataset.billing)
-            result = plan.enforce(
-                InstancePair(plan.pair, dataset.credit, dataset.billing),
-                candidate_pairs=pairs,
-                factorised=factorised,
-            )
-            assert result.stable
-            assert not result.rounds_exhausted
-            return result, {
-                (side, row.tid): row.values()
-                for side, relation in (
-                    (0, result.instance.left), (1, result.instance.right)
-                )
-                for row in relation
-            }
-
-        factorised_result, factorised_values = chased_values(True)
-        pairwise_result, pairwise_values = chased_values(False)
-        assert factorised_values == pairwise_values
-        assert factorised_result.rounds == pairwise_result.rounds
-        assert (
-            factorised_result.applications == pairwise_result.applications
+        factorised, _, _ = _kernel_run(
+            chase_factorised, dataset, dataset.credit, dataset.billing
         )
+        pairwise, _, _ = _kernel_run(
+            chase, dataset, dataset.credit, dataset.billing
+        )
+        assert factorised.stable and pairwise.stable
+        assert not factorised.rounds_exhausted
+        assert _values(factorised.instance) == _values(pairwise.instance)
+        assert factorised.rounds == pairwise.rounds
+        assert factorised.applications == pairwise.applications
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +310,6 @@ def test_stream_reuses_group_verdicts_across_ingests():
     }
     workspace = Workspace.from_dict(document)
     matcher = workspace.stream()
-    assert matcher.factorised
 
     records = [
         {"A": f"key-{index}", "B": f"value-{index}"} for index in range(4)
@@ -344,3 +325,81 @@ def test_stream_reuses_group_verdicts_across_ingests():
     for values in records:
         matcher.ingest(RIGHT, dict(values))
     assert workspace.plan.stats.value_pairs_evaluated == after_first
+
+
+def test_self_matching_shared_instance_equivalent():
+    """Deduplication (left is right): both kernels repair one relation."""
+    import random
+
+    rng = random.Random(9)
+    pair = SchemaPair(
+        RelationSchema("R", ("A", "B", "C")),
+        RelationSchema("R", ("A", "B", "C")),
+    )
+    plan = compile_plan(sigma=[parse_md("R[A] = R[A] -> R[B] <=> R[B]", pair)])
+    relation = Relation(pair.left)
+    for group in range(30):
+        for member in range(rng.randint(2, 4)):
+            relation.insert({
+                "A": f"key-{group}",
+                "B": f"value-{group}" if member == 0 else None,
+                "C": member,
+            })
+    by_key = {}
+    for row in relation:
+        by_key.setdefault(row["A"], []).append(row.tid)
+    pairs = [
+        (a, b)
+        for tids in by_key.values()
+        for position, a in enumerate(tids)
+        for b in tids[position + 1:]
+    ]
+    instance = InstancePair(pair, relation, relation)
+
+    pairwise = chase(plan, instance, candidate_pairs=pairs)
+    factorised = chase_factorised(plan, instance, candidate_pairs=pairs)
+    for left_tid, right_tid in pairs:
+        assert factorised.identified(
+            left_tid, right_tid, [("B", "B")]
+        ) == pairwise.identified(left_tid, right_tid, [("B", "B")])
+    for tid in relation.tids():
+        assert (
+            factorised.instance.left[tid].values()
+            == pairwise.instance.left[tid].values()
+        )
+        # Every group's nulls were repaired to the informative value.
+        assert factorised.instance.left[tid]["B"] is not None
+    # The shared copy stays shared.
+    assert factorised.instance.left is factorised.instance.right
+
+
+def test_order_dependent_policy_identical_across_kernels():
+    """'first-non-null' picks by *order*, yet both kernels agree.
+
+    The kernels union cells in different orders (per group vs per pair),
+    and member sets iterate in hash-seed order.  The repair pass feeds
+    the resolver a sorted member order, so an order-dependent policy
+    still resolves every class to the same value.
+    """
+    dataset = generate_dataset(80, seed=3)
+    document = resolution_spec_document(
+        dataset.pair,
+        dataset.target,
+        extended_mds(dataset.pair),
+        blocking={"backend": "hash", "key_length": 2},
+        execution={"mode": "enforce"},
+    )
+    document["resolution"] = {"policy": "first-non-null"}
+
+    def chased_values(kernel):
+        workspace = Workspace.from_dict(document)
+        plan = workspace.plan
+        result = kernel(
+            plan,
+            InstancePair(plan.pair, dataset.credit, dataset.billing),
+            resolver=workspace.spec.resolver(),
+            candidate_pairs=plan.candidates(dataset.credit, dataset.billing),
+        )
+        return _values(result.instance)
+
+    assert chased_values(chase_factorised) == chased_values(chase)

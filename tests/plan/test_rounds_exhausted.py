@@ -6,8 +6,8 @@ more rule and a chain of length K needs K+1 rounds to converge.  A
 ``max_rounds`` below that used to exhaust silently, returning a partial
 extension indistinguishable from a converged one; now
 :class:`~repro.core.semantics.EnforcementResult.rounds_exhausted` says
-so, through the serial kernel, the reference ``enforce`` entry point,
-and the parallel executor alike.
+so, through the reference ``enforce`` entry point and through
+:meth:`Workspace.match <repro.api.Workspace.match>` alike.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from repro.api import Workspace
 from repro.core.parser import parse_md
 from repro.core.schema import RelationSchema, SchemaPair
 from repro.core.semantics import InstancePair, enforce
-from repro.plan import compile_plan
-from repro.plan import parallel
 from repro.relations.relation import Relation
 
 #: Chain length: rule i reads A{i}, repairs A{i+1}.
@@ -112,10 +110,9 @@ def test_merging_on_the_last_round_but_stable_is_not_exhaustion():
     assert not result.rounds_exhausted
 
 
-def test_parallel_chase_propagates_exhaustion(monkeypatch):
-    """Any exhausted shard marks the merged parallel result exhausted."""
-    monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-    _, sigma, instance, pairs = _chain_setup(copies=6)
+def test_workspace_match_reports_exhaustion():
+    """Any exhausted chase surfaces in the report stats of a match."""
+    _, _, instance, _ = _chain_setup(copies=6)
     document = {
         "version": 1,
         "schema": {
@@ -129,28 +126,18 @@ def test_parallel_chase_propagates_exhaustion(monkeypatch):
                 for i in range(CHAIN)
             ]
         },
-        "execution": {"mode": "enforce", "workers": 2, "max_rounds": 2},
+        "execution": {"mode": "enforce", "max_rounds": 2},
     }
-    workspace = Workspace.from_dict(document)
-    plan = compile_plan(sigma=sigma)
-    exhausted = parallel.parallel_chase(
-        plan,
-        instance,
-        spec_document=workspace.spec.to_dict(),
-        candidate_pairs=pairs,
-        workers=2,
-        max_rounds=2,
+    candidates = [(tid, tid) for tid in range(6)]
+    exhausted = Workspace.from_dict(document).match(
+        instance.left, instance.right, candidates=candidates
     )
-    assert plan.stats.parallel_chases == 1
-    assert exhausted.rounds_exhausted
-    assert not exhausted.stable
+    assert exhausted.stats["rounds_exhausted"] == 1
 
-    converged = parallel.parallel_chase(
-        plan,
-        instance,
-        spec_document=workspace.spec.to_dict(),
-        candidate_pairs=pairs,
-        workers=2,
+    document["execution"]["max_rounds"] = CHAIN + 1
+    converged = Workspace.from_dict(document).match(
+        instance.left, instance.right, candidates=candidates
     )
-    assert not converged.rounds_exhausted
-    assert converged.stable
+    assert converged.stats["rounds_exhausted"] == 0
+    # Six independent chains, each completing its repair cascade.
+    assert len(converged.matches) == 6

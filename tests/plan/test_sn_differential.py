@@ -1,4 +1,4 @@
-"""Differential suite for sorted-neighborhood specs: stream ≡ batch, shard ≡ serial.
+"""Differential suite for sorted-neighborhood specs: stream ≡ batch, block ≡ whole.
 
 The acceptance criteria of the window-encoded SN index, end-to-end
 through the spec API:
@@ -7,26 +7,23 @@ through the spec API:
   clusters and the same candidate universe as the **batch** run of the
   same spec — for every :mod:`repro.datagen.streams` arrival scenario,
   on both store backends (memory and SQLite);
-* a **sharded** SN run (workers 2 and 4) produces a report identical to
-  the serial one, with real shards and no serial fallback — the legacy
-  backend's unconditional ``single-component`` fallback is retired;
+* SN candidates split at block boundaries into many connected
+  components, and chasing each component on its own decides exactly the
+  batch run's matches, as does chasing them dealt into 2 or 4 shards —
+  the legacy backend chained every pair into one component;
 * a store that cannot honor the spec's declared blocking backend is
   rejected with :class:`~repro.api.spec.SpecError` — never the silent
   hash substitution this suite exists to prevent (CLI exit 2 covered in
   ``tests/test_cli.py``).
-
-CI runs this file under both ``fork`` and ``spawn`` start methods as
-part of the parallel differential matrix.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.api import Workspace
-from repro.api.spec import ResolutionSpec, SpecError
+from repro.api.spec import SpecError
+from repro.core.semantics import InstancePair
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import (
@@ -36,7 +33,7 @@ from repro.datagen.streams import (
 )
 from repro.engine.store import MatchStore
 from repro.experiments.harness import resolution_spec_document
-from repro.plan import parallel
+from repro.plan import shard_pairs
 
 SCENARIOS = {
     "arrival": arrival_stream,
@@ -52,13 +49,13 @@ def dataset():
     return generate_dataset(120, seed=3)
 
 
-def _document(dataset, workers=1, **overrides):
+def _document(dataset, **overrides):
     document = resolution_spec_document(
         dataset.pair,
         dataset.target,
         extended_mds(dataset.pair),
         blocking={"backend": "sorted-neighborhood", "window": 10},
-        execution={"mode": "enforce", "workers": workers},
+        execution={"mode": "enforce"},
     )
     document.update(overrides)
     return document
@@ -66,8 +63,8 @@ def _document(dataset, workers=1, **overrides):
 
 @pytest.fixture(scope="module")
 def batch_reference(dataset):
-    """The serial batch run every other run must agree with."""
-    workspace = Workspace.from_dict(_document(dataset, workers=1))
+    """The batch run every other run must agree with."""
+    workspace = Workspace.from_dict(_document(dataset))
     report = workspace.match(dataset.credit, dataset.billing)
     candidates = workspace.plan.candidates(dataset.credit, dataset.billing)
     return {
@@ -132,20 +129,55 @@ def test_streaming_sn_equals_batch(
     store.close()
 
 
-@pytest.mark.parametrize("workers", (2, 4))
-def test_sharded_sn_equals_serial(workers, dataset, batch_reference, monkeypatch):
-    """Satellite (3): SN workloads shard; the report does not change."""
-    monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-    workspace = Workspace.from_dict(_document(dataset, workers=workers))
-    report = workspace.match(dataset.credit, dataset.billing)
-    stats = workspace.plan.stats
-    assert stats.parallel_chases == 1
-    assert stats.shards > 1
-    assert stats.serial_fallback_reason is None
-    assert stats.workers_spawned <= workers
-    assert report.matches == batch_reference["matches"]
-    assert report.clusters == batch_reference["clusters"]
-    assert report.fingerprint == batch_reference["fingerprint"]
+def test_sn_blocks_chase_independently(dataset, batch_reference):
+    """SN candidates split into components; each chases on its own."""
+    workspace = Workspace.from_dict(_document(dataset))
+    plan = workspace.plan
+    candidates = plan.candidates(dataset.credit, dataset.billing)
+    components = shard_pairs(candidates)
+    assert len(components) > 1
+    instance = InstancePair(plan.pair, dataset.credit, dataset.billing)
+    target_pairs = plan.target.attribute_pairs()
+    matches = []
+    for component in components:
+        result = plan.enforce(instance, candidate_pairs=list(component.pairs))
+        matches.extend(
+            pair
+            for pair in component.pairs
+            if result.identified(*pair, target_pairs)
+        )
+    assert sorted(matches) == sorted(batch_reference["matches"])
+
+
+@pytest.mark.parametrize("shards", (2, 4))
+def test_sharded_sn_equals_serial(shards, dataset, batch_reference):
+    """SN components dealt into ``shards`` groups chase to the batch matches.
+
+    Each group is a union of whole components, chased as one candidate
+    set; the union of the groups' matches is the serial batch report's.
+    """
+    workspace = Workspace.from_dict(_document(dataset))
+    plan = workspace.plan
+    components = shard_pairs(plan.candidates(dataset.credit, dataset.billing))
+    assert len(components) >= shards
+    groups = [
+        [
+            pair
+            for component in components[start::shards]
+            for pair in component.pairs
+        ]
+        for start in range(shards)
+    ]
+    assert all(groups)
+    instance = InstancePair(plan.pair, dataset.credit, dataset.billing)
+    target_pairs = plan.target.attribute_pairs()
+    matches = []
+    for group in groups:
+        result = plan.enforce(instance, candidate_pairs=group)
+        matches.extend(
+            pair for pair in group if result.identified(*pair, target_pairs)
+        )
+    assert sorted(matches) == sorted(batch_reference["matches"])
 
 
 class TestStreamGuard:

@@ -169,27 +169,12 @@ class TestMatch:
         assert matched
         assert all(left == 0 for left, _ in matched)  # only t1 matches
 
-    def test_match_workers_rejected_in_direct_mode(
-        self, schema_file, md_file, tmp_path, capsys
-    ):
-        """--workers must never be silently ignored.
-
-        The legacy flag form lowers to direct-mode matching, which has
-        no chase to parallelize — combining it with --workers is an
-        explicit error, not a no-op.
-        """
-        _, credit, billing = figure1_instances()
-        left_path = tmp_path / "credit.csv"
-        right_path = tmp_path / "billing.csv"
-        save_relation(credit, left_path)
-        save_relation(billing, right_path)
-        with pytest.warns(DeprecationWarning):
-            code = main(
-                ["match", "--schema", str(schema_file), "--mds", str(md_file),
-                 "--left", str(left_path), "--right", str(right_path),
-                 "--workers", "4"]
-            )
-        assert code == 2
+    def test_match_workers_flag_is_removed(self, capsys):
+        """The chase always runs serially; --workers is an unknown flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["match", "--spec", "spec.json", "--left", "a.csv",
+                  "--right", "b.csv", "--workers", "4"])
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_match_plain_csv_without_tids(self, schema_file, md_file, tmp_path):
