@@ -1030,7 +1030,7 @@ class SpecBuilder:
         """Configure the resolution service (``repro serve``).
 
         ``max_batch``/``max_delay_ms`` bound the ingest micro-batches
-        (one pooled chase per batch), ``queue_limit`` bounds the
+        (per-record ingest, one commit per batch), ``queue_limit`` bounds the
         per-tenant queue before backpressure (HTTP 429).  Like
         :meth:`observability`, the section never enters the fingerprint
         — deployment shape does not change what is matched.

@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -128,13 +127,6 @@ class _MergeOutcome:
     merged: bool
     rounds: int
     truncated: bool
-    #: ``(side, tid)`` records whose *current values* changed (consensus
-    #: repairs) — the dynamic dirt frontier
-    #: :meth:`IncrementalMatcher.ingest_batch` uses to decide which later
-    #: batch records may skip their chase.  Merges that repair nothing
-    #: are deliberately not dirt: a chase reads values, never cluster
-    #: membership, so they cannot change a later record's verdict.
-    touched: Set[Tuple[int, int]]
 
 
 class IncrementalMatcher:
@@ -232,6 +224,8 @@ class IncrementalMatcher:
             plan.tracer = tracer
         if metrics is not None:
             plan.metrics = metrics
+        #: Set while ingest_batch runs, so ingest leaves the commit to it.
+        self._defer_commit = False
 
     # ------------------------------------------------------------------
     # Streaming ingestion
@@ -267,8 +261,10 @@ class IncrementalMatcher:
         if outcome.merged:
             metrics.count("engine.merges")
         self._gauge_store()
-        # One ingest = one durable transaction (no-op for memory stores).
-        store.commit()
+        # One ingest = one durable transaction (no-op for memory stores);
+        # inside ingest_batch the batch's single commit covers it.
+        if not self._defer_commit:
+            store.commit()
         return IngestResult(
             side,
             tid,
@@ -278,29 +274,17 @@ class IncrementalMatcher:
             cascade_truncated=outcome.truncated,
         )
 
-    def _merge_phase(
-        self,
-        side: int,
-        tid: int,
-        first_pairs: Optional[Sequence[Pair]] = None,
-        exclude: FrozenSet[Tuple[int, int]] = frozenset(),
-    ) -> _MergeOutcome:
+    def _merge_phase(self, side: int, tid: int) -> _MergeOutcome:
         """One record's cascade loop: probe, chase, merge, repair, repeat.
 
-        ``first_pairs`` supplies the record's round-1 candidate pairs when
-        the caller already probed (and charged) them —
-        :meth:`ingest_batch` computes them at add time so they reflect the
-        store as of the record's arrival.  ``exclude`` removes not-yet
-        ingested batch records from cascade re-probes, keeping every
-        neighborhood identical to what a record-at-a-time ingest would
-        have seen (exact for hash blocking, whose buckets are unordered
-        sets; sorted-neighborhood never takes this path).
+        Round one probes the new record's arrival neighborhood; every
+        later round re-probes a record whose values a consensus repair
+        moved.  Each probe is charged to ``store.comparisons``.
         """
         store = self.store
         all_pairs: List[Pair] = []
         all_matches: List[Pair] = []
         merged = False
-        affected: Set[Tuple[int, int]] = set()
         queue: List[Tuple[int, int]] = [(side, tid)]
         queued = {(side, tid)}
         rounds = 0
@@ -308,29 +292,16 @@ class IncrementalMatcher:
             rounds += 1
             round_side, round_tid = queue.pop(0)
             queued.discard((round_side, round_tid))
-            if first_pairs is not None:
-                # Already probed and charged by the caller, at the store
-                # state of the record's arrival.
-                pairs: List[Pair] = list(first_pairs)
-                first_pairs = None
+            # Probe with arrival values: the buckets were keyed on them.
+            row = store.arrival_row(round_side, round_tid)
+            other_tids = store.neighbors(round_side, row)
+            if self._sn_blocking:
+                self.metrics.count("engine.sn_probes")
+            if round_side == LEFT:
+                pairs = [(round_tid, other) for other in other_tids]
             else:
-                # Probe with arrival values: the buckets were keyed on them.
-                row = store.arrival_row(round_side, round_tid)
-                other_tids = store.neighbors(round_side, row)
-                if self._sn_blocking:
-                    self.metrics.count("engine.sn_probes")
-                other_side = RIGHT if round_side == LEFT else LEFT
-                if exclude:
-                    other_tids = [
-                        other
-                        for other in other_tids
-                        if (other_side, other) not in exclude
-                    ]
-                if round_side == LEFT:
-                    pairs = [(round_tid, other) for other in other_tids]
-                else:
-                    pairs = [(other, round_tid) for other in other_tids]
-                store.comparisons += len(pairs)
+                pairs = [(other, round_tid) for other in other_tids]
+            store.comparisons += len(pairs)
             if not pairs:
                 continue
             all_pairs.extend(pairs)
@@ -345,7 +316,6 @@ class IncrementalMatcher:
                     touched.append(left_node)
             for root in {store.find(node) for node in touched}:
                 for changed_record in self._resolve_cluster(root):
-                    affected.add(changed_record)
                     if changed_record not in queued:
                         queue.append(changed_record)
                         queued.add(changed_record)
@@ -357,7 +327,6 @@ class IncrementalMatcher:
             merged=merged,
             rounds=rounds,
             truncated=bool(queue),
-            touched=affected,
         )
 
     def _gauge_store(self) -> None:
@@ -390,132 +359,71 @@ class IncrementalMatcher:
         return results
 
     def ingest_batch(self, events: Iterable) -> List[IngestResult]:
-        """Ingest a micro-batch of events with one pooled screening chase.
+        """Ingest a micro-batch: :meth:`ingest` per event, one commit.
 
-        Semantically this is exactly :meth:`ingest` applied to the events
-        in order — same final store state, same per-event results, same
-        ``comparisons``/``merges`` counters, pinned by the batch-boundary
-        invariance property test (``tests/serve/test_batch_invariance.py``)
-        and the service differential suite — but the work is amortized:
+        Every event runs through :meth:`ingest` in order, so the per-event
+        results and the final store state are exactly those of
+        :meth:`ingest_stream` over the same events, however a stream is
+        cut into batches.  Only the durable commit is shared: one
+        ``commit()`` covers the whole batch, so a crash re-presents the
+        batch as a unit instead of splitting it.
 
-        1. every record is added and its arrival neighborhood probed (and
-           charged) as it would have been record-at-a-time;
-        2. **one** pooled chase screens the union of all delta pairs;
-        3. only records with skin in the game — one of their *own* pairs
-           matched in the screen, or one of their involved records had
-           its values moved by a chase repair (before or during the
-           batch) — replay the exact per-record merge phase.
-
-        A record with no own-pair match and no moved neighbor is sound
-        to skip without its own chase: with every involved value
-        unchanged, the chase is purely monotone cell identification, so
-        the pooled screen's verdict over the superset of pairs subsumes
-        what the record's own delta chase could have found — and with no
-        match among its own pairs there is no merge to apply.
-
-        Sorted-neighborhood stores fall back to plain sequential ingest
-        (ranks shift with every insertion, so a batch added up front
-        cannot reproduce record-at-a-time windows); they still amortize
-        the durable commit.  One ``commit()`` covers the whole batch, so
-        a crash re-presents the batch as a unit instead of splitting it.
+        The batch is checked before its first record is added (see
+        :meth:`_check_batch`): a batch holding an event ``store.add``
+        would reject raises with the store unchanged.
         """
         normalized = [_normalize_event(event) for event in events]
         if not normalized:
             return []
-        store = self.store
-        metrics = self.metrics
+        self._check_batch(normalized)
         started = time.perf_counter()
-        if self._sn_blocking or len(normalized) == 1:
-            results = []
-            for side, values, tid in normalized:
-                results.append(self.ingest(side, values, tid=tid))
-            metrics.count("engine.batches")
-            metrics.observe("engine.batch_size", len(results))
-            metrics.observe(
-                "engine.batch_seconds", time.perf_counter() - started
-            )
-            return results
         with self.tracer.span("ingest_batch", size=len(normalized)) as span:
-            # Phase 1: add every record and capture its arrival-time
-            # neighborhood — the store grows between probes exactly as it
-            # would record-at-a-time, so each pair set (and its
-            # comparisons charge) is what sequential ingest computes.
-            pending: List[Tuple[int, int, List[Pair]]] = []
-            for side, values, tid in normalized:
-                tid = store.add(side, values, tid=tid)
-                row = store.arrival_row(side, tid)
-                other_tids = store.neighbors(side, row)
-                if side == LEFT:
-                    pairs: List[Pair] = [(tid, other) for other in other_tids]
-                else:
-                    pairs = [(other, tid) for other in other_tids]
-                store.comparisons += len(pairs)
-                pending.append((side, tid, pairs))
-            # Phase 2: one pooled chase over the whole batch delta.
-            union: List[Pair] = []
-            seen: Set[Pair] = set()
-            for _, _, pairs in pending:
-                for pair in pairs:
-                    if pair not in seen:
-                        seen.add(pair)
-                        union.append(pair)
-            screen_matches: Set[Pair] = set()
-            dirty: Set[Tuple[int, int]] = set()
-            if union:
-                matched_pairs, dirty = self._screen_pairs(union)
-                screen_matches = set(matched_pairs)
-            # Phase 3: replay the exact merge phase for records adjacent
-            # to dirt; skip the rest.  ``later`` shrinks as the batch is
-            # walked so cascade re-probes never see a record that had not
-            # arrived yet.
-            later: Set[Tuple[int, int]] = {
-                (side, tid) for side, tid, _ in pending
-            }
-            results = []
-            merges = 0
-            chased = 0
-            for side, tid, pairs in pending:
-                later.discard((side, tid))
-                involved = {(side, tid)}
-                for left_tid, right_tid in pairs:
-                    involved.add((LEFT, left_tid))
-                    involved.add((RIGHT, right_tid))
-                replay = pairs and (
-                    any(pair in screen_matches for pair in pairs)
-                    or not involved.isdisjoint(dirty)
-                )
-                if replay:
-                    chased += 1
-                    outcome = self._merge_phase(
-                        side, tid, first_pairs=pairs, exclude=frozenset(later)
-                    )
-                    dirty |= outcome.touched
-                    result = IngestResult(
-                        side,
-                        tid,
-                        tuple(outcome.pairs),
-                        tuple(outcome.matches),
-                        outcome.merged,
-                        cascade_truncated=outcome.truncated,
-                    )
-                else:
-                    result = IngestResult(side, tid, tuple(pairs), (), False)
-                if result.merged:
-                    merges += 1
-                results.append(result)
-            span.set("size", len(results))
-            span.set("chased", chased)
-            span.set("merged", merges)
+            self._defer_commit = True
+            try:
+                results = [
+                    self.ingest(side, values, tid=tid)
+                    for side, values, tid in normalized
+                ]
+            finally:
+                self._defer_commit = False
+            span.set("merged", sum(result.merged for result in results))
+        metrics = self.metrics
         metrics.observe("engine.batch_seconds", time.perf_counter() - started)
         metrics.count("engine.batches")
         metrics.observe("engine.batch_size", len(results))
-        metrics.count("engine.ingests", len(results))
-        if merges:
-            metrics.count("engine.merges", merges)
-        self._gauge_store()
         # One micro-batch = one durable transaction.
-        store.commit()
+        self.store.commit()
         return results
+
+    def _check_batch(
+        self, events: Sequence[Tuple[int, Dict[str, object], Optional[int]]]
+    ) -> None:
+        """Raise for any event ``store.add`` would reject, before any add.
+
+        Rejects attributes outside the side's schema, a tid already
+        stored, and a tid claimed earlier in the batch — auto-assigned
+        tids included, predicted the way the relation assigns them.
+        """
+        store = self.store
+        claimed: Dict[int, Set[int]] = {}
+        next_tid: Dict[int, int] = {}
+        for side, values, tid in events:
+            relation = store.relation(side)
+            unknown = set(values) - set(relation.schema.attribute_names)
+            if unknown:
+                raise KeyError(
+                    f"attributes {sorted(unknown)} not in schema "
+                    f"{relation.schema.name!r}"
+                )
+            if side not in next_tid:
+                next_tid[side] = relation.next_tid()
+                claimed[side] = set()
+            if tid is None:
+                tid = next_tid[side]
+            elif tid in claimed[side] or tid in relation:
+                raise ValueError(f"tuple id {tid} already present")
+            claimed[side].add(tid)
+            next_tid[side] = max(next_tid[side], tid + 1)
 
     # ------------------------------------------------------------------
     # Batch warm-start
@@ -597,56 +505,7 @@ class IncrementalMatcher:
                     matches.append(match)
         return matches
 
-    def _screen_pairs(
-        self, pairs: Sequence[Pair]
-    ) -> Tuple[List[Pair], Set[Tuple[int, int]]]:
-        """Pooled pre-chase over a batch's delta: matches plus the dirt set.
-
-        Mirrors :meth:`_match_pairs` (arrival chase, plus a current-values
-        chase when any involved record is repaired) but additionally
-        reports every ``(side, tid)`` whose chased values differ from its
-        inputs — the *value dirt*.  Match endpoints whose values did not
-        move are deliberately not dirt: a chase reads values, never
-        cluster membership, so a merge that repairs nothing cannot change
-        a neighbor's verdict.  A record none of whose own pairs matched
-        and none of whose involved records moved is sound to skip — with
-        all involved values fixed, cell identification is monotone in the
-        pair set, so the pooled chase (which ran every chase variant a
-        per-record :meth:`_match_pairs` would have) subsumes each
-        record's own delta chase — which is what lets
-        :meth:`ingest_batch` skip their per-record chase.
-        """
-        store = self.store
-        matches, changed = self._chase(
-            pairs, use_arrival=True, collect_changed=True
-        )
-        involved = {(LEFT, left_tid) for left_tid, _ in pairs} | {
-            (RIGHT, right_tid) for _, right_tid in pairs
-        }
-        repaired = any(
-            store.relation(side)[tid].values()
-            != store.arrival_values(side, tid)
-            for side, tid in involved
-        )
-        if repaired:
-            # Union-wide trigger where _match_pairs triggers per record —
-            # a superset of the chases any single record would run, so
-            # the screen's verdict still subsumes each of them.
-            second, second_changed = self._chase(
-                pairs, use_arrival=False, collect_changed=True
-            )
-            for match in second:
-                if match not in matches:
-                    matches.append(match)
-            changed |= second_changed
-        return matches, changed
-
-    def _chase(
-        self,
-        pairs: Sequence[Pair],
-        use_arrival: bool,
-        collect_changed: bool = False,
-    ):
+    def _chase(self, pairs: Sequence[Pair], use_arrival: bool) -> List[Pair]:
         """One enforcement chase over a local sub-instance of the delta.
 
         The sub-instance holds only the tuples occurring in ``pairs`` (ids
@@ -682,29 +541,11 @@ class IncrementalMatcher:
             resolver=self.resolver,
             candidate_pairs=list(pairs),
         )
-        matches = [
+        return [
             (left_tid, right_tid)
             for left_tid, right_tid in pairs
             if result.identified(left_tid, right_tid, self._target_pairs)
         ]
-        if not collect_changed:
-            return matches
-        # Which involved records did the chase move?  Compare the chased
-        # extension against the values the sub-instance was built from.
-        changed: Set[Tuple[int, int]] = set()
-        for out, stored, side, tids in (
-            (result.instance.left, store.left, LEFT, involved_left),
-            (result.instance.right, store.right, RIGHT, involved_right),
-        ):
-            for tid in tids:
-                baseline = (
-                    store.arrival_values(side, tid)
-                    if use_arrival
-                    else stored[tid].values()
-                )
-                if out[tid].values() != baseline:
-                    changed.add((side, tid))
-        return matches, changed
 
     def _resolve_cluster(self, node: Node) -> List[Tuple[int, int]]:
         """Re-resolve a cluster's target values to the member consensus.

@@ -160,13 +160,17 @@ class SQLiteRelation:
         """All rows, in insertion order."""
         return list(self)
 
-    def _allocate_tid(self) -> int:
+    def next_tid(self) -> int:
+        """The tuple id an insert without an explicit ``tid`` would get."""
         if self._next_tid is None:
             row = self.connection.execute(
                 "SELECT MAX(tid) FROM records WHERE side = ?", (self.side,)
             ).fetchone()
             self._next_tid = 0 if row[0] is None else row[0] + 1
-        tid = self._next_tid
+        return self._next_tid
+
+    def _allocate_tid(self) -> int:
+        tid = self.next_tid()
         self._next_tid = tid + 1
         return tid
 

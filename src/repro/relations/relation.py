@@ -151,6 +151,10 @@ class Relation:
         """All rows, in insertion order."""
         return list(self._rows.values())
 
+    def next_tid(self) -> int:
+        """The tuple id an insert without an explicit ``tid`` would get."""
+        return self._next_tid
+
     # ------------------------------------------------------------------
     # Extension semantics
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """`repro.serve`: the zero-dependency asyncio resolution service.
 
 The paper's operators become a long-running, multi-tenant HTTP service:
-ingest events ride per-tenant micro-batch queues so one pooled
-enforcement chase is amortized across a batch
-(:meth:`~repro.engine.matcher.IncrementalMatcher.ingest_batch`), with
+ingest events ride per-tenant micro-batch queues — per-record ingest,
+one commit per batch
+(:meth:`~repro.engine.matcher.IncrementalMatcher.ingest_batch`) — with
 bounded-queue backpressure (429 + ``Retry-After``), hot spec reload by
 fingerprint, and graceful drain on shutdown.  Everything served over
 HTTP is bit-identical to the offline ``Workspace`` path — pinned by the

@@ -4,9 +4,9 @@ Endpoints (all JSON unless noted):
 
 - ``POST /ingest`` — one record (``{"side", "values", "tid"?}``) or a
   list (``{"records": [...]}``); each event rides a per-tenant
-  micro-batch (one pooled chase per batch) and resolves to its
-  ``seq``/``tid``/``matches``/``merged``/``cascade_truncated``.  A
-  full queue answers **429** with ``Retry-After`` — backpressure, never
+  micro-batch (per-record ingest, one commit per batch) and resolves
+  to its ``seq``/``tid``/``matches``/``merged``/``cascade_truncated``.
+  A full queue answers **429** with ``Retry-After`` — backpressure, never
   silent loss.
 - ``POST /match`` — batch matching over inline rows
   (``{"left": [...], "right": [...]}``); the CLI's report shape.

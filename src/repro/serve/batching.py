@@ -4,10 +4,11 @@ One producer side (HTTP handlers) submits single ingest events and gets
 back futures; one consumer (the tenant's drain task) pulls *batches*:
 the first event is awaited, then the batch grows until ``max_batch``
 events are in hand or ``max_delay`` seconds have passed since the first
-— whichever comes first.  The engine then amortizes one pooled
-screening chase over the whole batch
-(:meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch`), which
-is where the service's throughput over per-record ingest comes from.
+— whichever comes first.  The engine then runs per-record ingest with
+one commit per batch
+(:meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch`): on a
+durable store the shared commit is what batching saves over committing
+every record.
 
 The queue is bounded: past ``limit`` pending events :meth:`submit`
 raises :class:`QueueFull` and the HTTP layer answers 429 with a

@@ -11,9 +11,10 @@ All engine work — ingest batches, batch matches, cluster queries — runs
 in worker threads (``asyncio.to_thread``) serialized by one per-tenant
 lock, keeping the event loop free to accept connections while a chase
 runs.  The drain task is the queue's single consumer: it pulls a
-micro-batch, runs one pooled-chase ingest over it, assigns each event a
-monotonically increasing ``seq`` in processing order (what the
-differential suite replays offline), and resolves the waiting futures.
+micro-batch, ingests it (per-record ingest, one commit per batch),
+assigns each event a monotonically increasing ``seq`` in processing
+order (what the differential suite replays offline), and resolves the
+waiting futures.
 """
 
 from __future__ import annotations

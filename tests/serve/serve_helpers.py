@@ -34,7 +34,7 @@ def dataset(size: int = 120, seed: int = 11):
 
 
 def builder(dataset, backend: str = "hash"):
-    """The suite's spec builder: hash blocking (the batched-chase path)."""
+    """The suite's spec builder (hash blocking unless told otherwise)."""
     return (
         Workspace.builder()
         .pair(dataset.pair)

@@ -133,61 +133,45 @@ def test_http_ingest_equals_offline_stream(make_stream, backend, tmp_path):
             reopened.close(commit=False)
 
 
-def test_batched_service_does_fewer_chases_than_per_record():
-    """The micro-batch queue actually amortizes: ingesting through the
-    service costs strictly fewer enforcement chases than one-at-a-time
-    offline ingest of the same events.  The workload is serving-shaped —
-    a warm partial customer base, then live billing traffic, most of it
-    from unknown holders — because an all-duplicates stream leaves
-    nothing to amortize (every record's neighborhood is dirty).  The
-    full ≥2× claim at scale is ``benchmarks/test_serve.py``.
+def test_sqlite_server_commits_once_per_micro_batch(tmp_path):
+    """A micro-batch runs ``ingest`` per record but commits once: a
+    SQLite-backed server makes exactly one store commit per batch, not
+    one per record.  Bulk posts of ``max_batch`` records fill one batch
+    each (the steady-traffic shape).
     """
-    from repro.core.schema import LEFT
-    from repro.datagen.generator import generate_dataset
-
-    source = generate_dataset(
-        300, duplicate_fraction=0.15, namesake_fraction=0.35, seed=13
-    )
-    events = list(arrival_stream(source).events)
-    credit = [e for e in events if e.side == LEFT]
-    billing = [e for e in events if e.side != LEFT]
-    warm = {e.entity for e in credit if (e.entity % 100) < 20}
-    stream = [e for e in credit if e.entity in warm] + billing
-
-    spec = (
-        builder(source)
-        .serve(port=0, max_batch=32, max_delay_ms=20)
-        .build()
-    )
+    events = list(arrival_stream(dataset(), seed=5).events)
+    spec = _spec(tmp_path, "sqlite")
+    batch = spec.serve_max_batch
     thread, host, port = start_server(spec)
     try:
+        tenant = thread.server.tenant
+        counters = tenant.workspace.metrics.counters
+        # Open the store first: stamping its spec fingerprint commits.
+        tenant.matcher
+        commits_before = counters.get("store.commits", 0)
         client = ServeClient(host, port)
         try:
-            # Bulk posts fill whole micro-batches (the steady-traffic
-            # shape); each record still gets its own seq and result.
-            for start in range(0, len(stream), 32):
+            requests = 0
+            for start in range(0, len(events), batch):
                 status, body, _ = client.request(
                     "POST",
                     "/ingest",
                     {
                         "records": [
                             event_record(event)
-                            for event in stream[start : start + 32]
+                            for event in events[start : start + batch]
                         ]
                     },
                 )
-                assert status == 200
+                assert status == 200, body
+                requests += 1
         finally:
             client.close()
-        server_chases = thread.server.tenant.workspace.plan.stats.enforcements
-        server_state = state(thread.server.tenant.matcher.store)
+        commits = counters.get("store.commits", 0) - commits_before
+        batches = counters.get("engine.batches", 0)
+        ingests = counters.get("engine.ingests", 0)
     finally:
         thread.stop()
-
-    offline = builder(source).workspace()
-    offline_matcher = offline.stream()
-    offline_matcher.ingest_stream(stream)
-    offline_chases = offline.plan.stats.enforcements
-    # Fewer chases, identical answers.
-    assert server_chases < offline_chases
-    assert server_state == state(offline_matcher.store)
+    assert ingests == len(events)
+    assert batches == requests
+    assert commits == batches

@@ -212,6 +212,39 @@ def test_bulk_request_is_shed_whole_never_half_applied():
     assert server_state == state(offline.store)
 
 
+def test_rejected_batch_keeps_none_of_its_records():
+    """A bulk request whose batch holds a reused tid answers 400 with
+    none of its records kept, so retrying the good record succeeds
+    (it used to be stored anyway and then fail every retry)."""
+    events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:3]
+    spec = builder(dataset(60, seed=7)).serve(port=0).build()
+    thread, host, port = start_server(spec)
+    try:
+        client = ServeClient(host, port)
+        try:
+            status, _, _ = client.request(
+                "POST", "/ingest", event_record(events[0])
+            )
+            assert status == 200
+            good, dup = event_record(events[1]), event_record(events[0])
+            status, body, _ = client.request(
+                "POST", "/ingest", {"records": [good, dup]}
+            )
+            assert status == 400
+            assert "already present" in body["error"]
+            status, _, _ = client.request("POST", "/ingest", good)
+            assert status == 200
+        finally:
+            client.close()
+        server_state = state(thread.server.tenant.matcher.store)
+    finally:
+        thread.stop()
+
+    offline = builder(dataset(60, seed=7)).workspace().stream()
+    offline.ingest_stream(events[:2])
+    assert server_state == state(offline.store)
+
+
 def test_abortive_stop_fails_queued_ingests_with_503():
     events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:3]
     spec = (
