@@ -309,15 +309,23 @@ class Workspace:
             rule_names: Dict[Pair, Tuple[str, ...]] = {}
             if provenance:
                 with self.tracer.span("provenance"):
+                    # A match's rules are the verdict on its chased
+                    # signature — a verdict-cache hit, since the chase's
+                    # stability check decided the same signatures.
                     chased = result.instance
+                    names_of: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
                     for left_tid, right_tid in matches:
-                        t1 = chased.left[left_tid]
-                        t2 = chased.right[right_tid]
-                        rule_names[(left_tid, right_tid)] = tuple(
-                            rule.name
-                            for rule in plan.rules
-                            if plan.lhs_matches(rule, t1, t2)
+                        verdict = plan.group_verdict(
+                            plan.signature(
+                                chased.left[left_tid], chased.right[right_tid]
+                            )
                         )
+                        names = names_of.get(verdict)
+                        if names is None:
+                            names = names_of[verdict] = tuple(
+                                plan.rules[index].name for index in verdict
+                            )
+                        rule_names[(left_tid, right_tid)] = names
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)
         return self._report("enforce", matches, candidates, rule_names)

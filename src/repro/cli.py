@@ -23,7 +23,7 @@ internally — but emits a ``DeprecationWarning``.
   ``engine stats`` reports counters, ``engine query`` prints a cluster,
   ``engine migrate`` converts between the two store formats;
 * ``trace``   — inspect trace files written with ``--trace`` on ``match``
-  or ``engine ingest``: ``trace summarize`` aggregates per-span timings,
+  or ``engine ingest``: ``trace summarize`` aggregates per-span timings (total and self),
   ``trace validate`` schema-checks a file (what CI smoke runs).
 
 The legacy schema spec is JSON::

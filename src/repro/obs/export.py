@@ -14,8 +14,9 @@ format, directly loadable in ``about:tracing`` or https://ui.perfetto.dev
   of the run's counters/gauges/histograms.
 
 :func:`summarize_trace` aggregates a document back into a per-span-name
-text table (``repro trace summarize``); :func:`validate_trace` is the
-structural schema check CI runs on smoke traces.
+text table with inclusive and self times (``repro trace summarize``);
+:func:`validate_trace` is the structural schema check CI runs on smoke
+traces.
 """
 
 from __future__ import annotations
@@ -211,8 +212,42 @@ def validate_trace(document: object) -> List[str]:
     return problems
 
 
+def _self_times(events: List[Dict[str, object]]) -> List[float]:
+    """Each span's ``dur`` minus the time its direct child spans cover.
+
+    Spans nest within one ``pid``/``tid`` row: a span's parent is the
+    innermost earlier span of the same row still open at its ``ts``.
+    Returned in ``events`` order, in the events' unit (microseconds).
+    """
+    starts = [float(event["ts"]) for event in events]
+    durations = [float(event["dur"]) for event in events]
+    self_times = list(durations)
+    rows: Dict[object, List[int]] = {}
+    for position, event in enumerate(events):
+        rows.setdefault((event.get("pid"), event.get("tid")), []).append(position)
+    for positions in rows.values():
+        # Parents before their children: by start, longest first.
+        positions.sort(key=lambda at: (starts[at], -durations[at]))
+        open_spans: List[int] = []
+        for position in positions:
+            while open_spans and (
+                starts[open_spans[-1]] + durations[open_spans[-1]]
+                <= starts[position]
+            ):
+                open_spans.pop()
+            if open_spans:
+                self_times[open_spans[-1]] -= durations[position]
+            open_spans.append(position)
+    return [max(0.0, value) for value in self_times]
+
+
 def summarize_trace(document: Dict[str, object]) -> str:
-    """A per-span-name aggregate table of one trace document."""
+    """A per-span-name aggregate table of one trace document.
+
+    ``total_ms`` sums the spans' durations; ``self_ms`` sums each span's
+    duration minus the time its child spans cover, so the column adds up
+    to the traced wall time without double counting nested spans.
+    """
     events = [
         event
         for event in document.get("traceEvents", [])
@@ -228,11 +263,15 @@ def summarize_trace(document: Dict[str, object]) -> str:
         )
         lines.append(f"# trace manifest: {rendered or manifest}")
     by_name: Dict[str, List[float]] = {}
-    for event in events:
-        by_name.setdefault(str(event["name"]), []).append(
-            float(event["dur"]) / 1e3
-        )
-    header = f"{'span':<24} {'count':>6} {'total_ms':>10} {'mean_ms':>9} {'max_ms':>9}"
+    self_by_name: Dict[str, float] = {}
+    for event, self_us in zip(events, _self_times(events)):
+        name = str(event["name"])
+        by_name.setdefault(name, []).append(float(event["dur"]) / 1e3)
+        self_by_name[name] = self_by_name.get(name, 0.0) + self_us / 1e3
+    header = (
+        f"{'span':<24} {'count':>6} {'total_ms':>10} {'self_ms':>10} "
+        f"{'mean_ms':>9} {'max_ms':>9}"
+    )
     lines.append(header)
     lines.append("-" * len(header))
     for name, durations in sorted(
@@ -240,6 +279,7 @@ def summarize_trace(document: Dict[str, object]) -> str:
     ):
         lines.append(
             f"{name:<24} {len(durations):>6} {sum(durations):>10.3f} "
+            f"{self_by_name[name]:>10.3f} "
             f"{sum(durations) / len(durations):>9.3f} {max(durations):>9.3f}"
         )
     metrics = document.get("metrics")

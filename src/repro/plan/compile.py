@@ -250,6 +250,14 @@ class EnforcementPlan:
                 return False
         return True
 
+    def signature(self, t1: Row, t2: Row) -> Tuple[Tuple[object, object], ...]:
+        """The value pairs two rows present on the :attr:`lhs_slots` —
+        the argument :meth:`group_verdict` decides on."""
+        return tuple(
+            (t1[predicate.left], t2[predicate.right])
+            for predicate in self.lhs_slots
+        )
+
     def group_verdict(self, signature) -> Tuple[int, ...]:
         """Indices of the rules whose LHS fires on one value-pair signature.
 

@@ -24,7 +24,7 @@ cache across runs and ingests.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.semantics import (
     Cell,
@@ -237,6 +237,40 @@ def chase(
     )
 
 
+def _rhs_expansion(
+    plan,
+    verdict: Tuple[int, ...],
+    memo: Dict[Tuple[int, ...], Tuple[tuple, FrozenSet]],
+) -> Tuple[Tuple[Tuple[str, str], ...], FrozenSet[Tuple[str, str]]]:
+    """The RHS attribute pairs a firing verdict identifies, memoized.
+
+    Ordered by first appearance across the verdict's rules (rule order,
+    then each rule's RHS order) with repeats dropped — extended MDs
+    share RHS attribute pairs — plus the same pairs as a set for the
+    per-pair "already unioned" test.  ``memo`` lives for one chase.
+    """
+    expansion = memo.get(verdict)
+    if expansion is None:
+        ordered = dict.fromkeys(
+            attribute_pair
+            for rule_index in verdict
+            for attribute_pair in plan.rules[rule_index].rhs
+        )
+        expansion = memo[verdict] = (tuple(ordered), frozenset(ordered))
+    return expansion
+
+
+def _pairs_by_tuple(
+    pairs: Sequence[Tuple[int, int]]
+) -> Dict[Tuple[int, int], List[int]]:
+    """``(side, tid)`` -> positions in ``pairs`` of the pairs it is part of."""
+    positions: Dict[Tuple[int, int], List[int]] = {}
+    for position, (left_tid, right_tid) in enumerate(pairs):
+        positions.setdefault((LEFT, left_tid), []).append(position)
+        positions.setdefault((RIGHT, right_tid), []).append(position)
+    return positions
+
+
 def chase_factorised(
     plan,
     instance: InstancePair,
@@ -254,6 +288,13 @@ def chase_factorised(
     After repairs, only the dirty pairs migrate to their re-computed
     signature groups — the factorisation is maintained incrementally,
     never rebuilt.
+
+    Expansion does each piece of work once per chase: a verdict's RHS
+    attribute pairs are collected once (:func:`_rhs_expansion`), and a
+    record pair unions each RHS attribute pair at most once — when it
+    fires again in a later round, only the attribute pairs it has not
+    unioned yet are unioned.  The union-find only grows within a chase,
+    so a skipped call would have merged nothing.
 
     Equivalence with the pairwise loop (the differential suite in
     ``tests/plan/test_factorised_equivalence.py`` pins it): within a
@@ -294,6 +335,13 @@ def chase_factorised(
     chase_span.set("groups", index.group_count)
     chase_span.set("factorisation_ratio", stats.factorisation_ratio)
 
+    # verdict -> its RHS attribute pairs (ordered, and as a set).
+    expansions: Dict[Tuple[int, ...], Tuple[tuple, FrozenSet]] = {}
+    # record pair -> the RHS attribute pairs it has unioned this chase.
+    unioned: Dict[Tuple[int, int], FrozenSet[Tuple[str, str]]] = {}
+    # Built on the first round that repairs anything.
+    pairs_of: Optional[Dict[Tuple[int, int], List[int]]] = None
+    union = cells.union
     applications = 0
     rounds = 0
     shared = working.left is working.right
@@ -301,7 +349,6 @@ def chase_factorised(
     merged_this_round = False
     while rounds < max_rounds:
         rounds += 1
-        merged_this_round = False
         round_span = tracer.span(
             "chase-round",
             round=rounds,
@@ -315,20 +362,27 @@ def chase_factorised(
             verdict = plan.group_verdict(group.signature)
             if not verdict:
                 continue
-            # Expansion: the verdict holds for every member pair, so the
-            # RHS merges apply per record pair.  Pairs that already fired
-            # in an earlier round union idempotently (no application
-            # counted), exactly as on the pairwise path.
-            for rule_index in verdict:
-                rule = plan.rules[rule_index]
-                for left_tid, right_tid in group.pairs:
-                    for left_attr, right_attr in rule.rhs:
-                        left_cell: Cell = (LEFT, left_tid, left_attr)
-                        right_cell: Cell = (RIGHT, right_tid, right_attr)
-                        if cells.union(left_cell, right_cell):
-                            merged_this_round = True
-                            applications += 1
-                            touched.append(left_cell)
+            rhs, rhs_set = _rhs_expansion(plan, verdict, expansions)
+            # Expansion: the verdict holds for every member pair.  A pair
+            # unions only the RHS attribute pairs it has not unioned in
+            # an earlier round: a repeated call could merge nothing.
+            for pair in group.pairs:
+                done = unioned.get(pair)
+                if done is None:
+                    todo = rhs
+                    unioned[pair] = rhs_set
+                elif rhs_set <= done:
+                    continue
+                else:
+                    todo = [item for item in rhs if item not in done]
+                    unioned[pair] = done | rhs_set
+                left_tid, right_tid = pair
+                for left_attr, right_attr in todo:
+                    left_cell: Cell = (LEFT, left_tid, left_attr)
+                    if union(left_cell, (RIGHT, right_tid, right_attr)):
+                        applications += 1
+                        touched.append(left_cell)
+        merged_this_round = applications > before
         round_span.set("merges", applications - before)
         if not merged_this_round:
             round_span.__exit__(None, None, None)
@@ -336,11 +390,16 @@ def chase_factorised(
         changed = _resolve_touched(
             working, cells, touched, resolver, shared, tracer
         )
-        dirty = [
-            (left_tid, right_tid)
-            for left_tid, right_tid in pairs
-            if (LEFT, left_tid) in changed or (RIGHT, right_tid) in changed
-        ]
+        if pairs_of is None:
+            pairs_of = _pairs_by_tuple(pairs)
+        # The dirty pairs, in candidate order: only they can behave
+        # differently next round.
+        dirty_positions = {
+            position
+            for changed_tuple in changed
+            for position in pairs_of.get(changed_tuple, ())
+        }
+        dirty = [pairs[position] for position in sorted(dirty_positions)]
         active_groups = index.migrate(working, dirty)
         round_span.__exit__(None, None, None)
 
@@ -352,17 +411,22 @@ def chase_factorised(
     unstable_rule = None
     with tracer.span("stability-check"):
         for group in index.groups.values():
-            for rule_index in plan.group_verdict(group.signature):
-                rule = plan.rules[rule_index]
-                for left_tid, right_tid in group.pairs:
-                    t1 = working.left[left_tid]
-                    t2 = working.right[right_tid]
-                    for left_attr, right_attr in rule.rhs:
-                        if t1[left_attr] != t2[right_attr]:
-                            stable = False
-                            unstable_rule = rule.name
-                            break
-                    if not stable:
+            verdict = plan.group_verdict(group.signature)
+            if not verdict:
+                continue
+            rhs = _rhs_expansion(plan, verdict, expansions)[0]
+            for left_tid, right_tid in group.pairs:
+                t1 = working.left[left_tid]
+                t2 = working.right[right_tid]
+                for left_attr, right_attr in rhs:
+                    if t1[left_attr] != t2[right_attr]:
+                        stable = False
+                        unstable_rule = next(
+                            plan.rules[rule_index].name
+                            for rule_index in verdict
+                            if (left_attr, right_attr)
+                            in plan.rules[rule_index].rhs
+                        )
                         break
                 if not stable:
                     break

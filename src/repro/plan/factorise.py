@@ -75,7 +75,7 @@ class PairGroupIndex:
         instance: InstancePair,
         pairs: Iterable[Pair] = (),
     ) -> None:
-        self._slots = plan.lhs_slots
+        self._signature = plan.signature
         #: signature (or fallback key) -> group, insertion-ordered.
         self.groups: Dict[object, PairGroup] = {}
         self._group_of: Dict[Pair, PairGroup] = {}
@@ -108,12 +108,7 @@ class PairGroupIndex:
     def signature(self, instance: InstancePair, pair: Pair) -> Signature:
         """The value-pair tuple ``pair`` presents on the LHS slots."""
         left_tid, right_tid = pair
-        t1 = instance.left[left_tid]
-        t2 = instance.right[right_tid]
-        return tuple(
-            (t1[predicate.left], t2[predicate.right])
-            for predicate in self._slots
-        )
+        return self._signature(instance.left[left_tid], instance.right[right_tid])
 
     def add(self, instance: InstancePair, pair: Pair) -> PairGroup:
         """Insert one pair under its current signature."""

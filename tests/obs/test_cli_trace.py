@@ -143,6 +143,57 @@ class TestTraceSubcommands:
         assert "chase" in out
         assert "chase.seconds" in out  # the metrics section rides along
 
+    @staticmethod
+    def _summary_rows(out):
+        """``{span: {column: value}}`` from the summary's span table."""
+        lines = out.splitlines()
+        header_at = next(
+            index for index, line in enumerate(lines) if line.startswith("span ")
+        )
+        columns = lines[header_at].split()[1:]
+        rows = {}
+        for line in lines[header_at + 2:]:
+            if not line.strip():
+                break
+            name, *values = line.split()
+            rows[name] = dict(zip(columns, map(float, values)))
+        return rows
+
+    @pytest.mark.parametrize("grandchild_tid", (0, 1))
+    def test_summarize_reports_self_time(
+        self, tmp_path, capsys, grandchild_tid
+    ):
+        """Self time is a span minus its child spans, nested per thread.
+
+        ``root`` [0, 10 ms) holds ``child`` [1, 7 ms), which holds
+        ``grandchild`` [2, 4 ms).  On another thread row the grandchild
+        is nobody's child, so ``child`` keeps all of its 6 ms.
+        """
+        def span(name, ts_ms, dur_ms, tid=0):
+            return {"name": name, "cat": "repro", "ph": "X", "pid": 1,
+                    "tid": tid, "ts": ts_ms * 1e3, "dur": dur_ms * 1e3,
+                    "args": {}}
+
+        trace = tmp_path / "hand-built.json"
+        trace.write_text(json.dumps({
+            "manifest": {"spec_fingerprint": "test"},
+            "traceEvents": [
+                span("grandchild", 2, 2, tid=grandchild_tid),
+                span("root", 0, 10),
+                span("child", 1, 6),
+            ],
+        }))
+        assert main(["trace", "summarize", str(trace)]) == 0
+        rows = self._summary_rows(capsys.readouterr().out)
+
+        assert {name: row["total_ms"] for name, row in rows.items()} == {
+            "root": 10.0, "child": 6.0, "grandchild": 2.0,
+        }
+        nested = grandchild_tid == 0
+        assert {name: row["self_ms"] for name, row in rows.items()} == {
+            "root": 4.0, "child": 4.0 if nested else 6.0, "grandchild": 2.0,
+        }
+
     def test_validate_rejects_garbage_with_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"traceEvents": []}))
